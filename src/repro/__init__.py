@@ -23,15 +23,15 @@ Parallel and asynchronous tuning
 --------------------------------
 
 Every strategy runs inside a :class:`~repro.core.session.TuningSession`
-whose executor decides how probes execute.  The default
-``SerialExecutor`` probes one configuration at a time;
-``ParallelExecutor(workers=K)`` probes K per synchronous round (the BO
-tuner diversifies each batch with constant-liar fantasisation);
-``AsyncExecutor(workers=K)`` drops the round barrier — each worker pulls
-a fresh proposal the moment its probe completes, conditioned on the
-probes still in flight.  All executors account machine cost for every
-probe; wall-clock is the round's slowest probe under the barrier, or each
-worker's own timeline without it::
+whose executor — one event-driven probe engine — decides how probes
+execute.  Its three presets: the default ``SerialExecutor`` probes one
+configuration at a time; ``ParallelExecutor(workers=K)`` probes K per
+synchronous round (the BO tuner diversifies each batch with constant-liar
+fantasisation); ``AsyncExecutor(workers=K)`` drops the round barrier —
+each worker pulls a fresh proposal the moment its probe completes,
+conditioned on the probes still in flight.  Machine cost accrues for
+every probe; wall-clock is the round's slowest probe under the barrier,
+or each worker's own timeline without it::
 
     from repro.core import AsyncExecutor
 

@@ -1,40 +1,29 @@
 """Tuning sessions: the propose→probe loop with pluggable trial execution.
 
-The seed hard-wired the run loop inside :meth:`SearchStrategy.run`: one
-probe at a time, cost accounted as pure machine-seconds.  This module
-extracts that loop into a :class:`TuningSession`, which owns the budget,
-history, and RNG, and delegates *how probes execute* to an
-:class:`Executor`:
+A :class:`TuningSession` owns the budget, history, and RNG of one tuning
+run and delegates *how probes execute* to an :class:`Executor` — one
+event-driven engine in which each worker slot moves free → in flight →
+recorded.  Three presets fix its constructor arguments:
 
-- :class:`SerialExecutor` — one probe per round, exactly the seed's
-  semantics (histories are trial-for-trial identical at the same seed);
-- :class:`ParallelExecutor` — K probes per round, the cluster setting the
-  paper targets.  Strategies supply the batch via
-  :meth:`SearchStrategy.propose_batch` (the BO tuner uses constant-liar
-  fantasisation, see :mod:`repro.core.parallel`), every member is probed,
-  and the history is charged machine cost for all K probes but wall-clock
-  only for the slowest one — the synchronous round barrier a real K-machine
-  deployment pays;
-- :class:`AsyncExecutor` — K workers with **no round barrier**: a
-  simulated event-driven free-list where each worker pulls a fresh
-  proposal (conditioned on the still-in-flight configurations via
-  :meth:`SearchStrategy.propose_async`) the moment its probe completes.
-  Machine cost is identical per probe to the synchronous executors; the
-  wall-clock is each worker's own timeline, so heterogeneous probe
-  durations no longer leave K-1 workers idle behind a round's straggler.
+- :class:`SerialExecutor` — one worker: exactly the seed's serial loop
+  (histories are trial-for-trial identical at the same seed);
+- :class:`AsyncExecutor` — K workers with no round barrier: each freed
+  worker pulls a fresh proposal, conditioned on the configurations still
+  in flight (:meth:`SearchStrategy.propose_async`), so heterogeneous probe
+  durations never idle K-1 workers behind a straggler;
+- :class:`ParallelExecutor` — K workers behind a synchronous round
+  barrier, the cluster setting the paper targets: each round is one
+  :meth:`SearchStrategy.propose_batch` call (the BO tuner uses
+  constant-liar fantasisation, see :mod:`repro.core.parallel`), billed
+  machine cost for every member but wall-clock only for the slowest.
 
-Every executor can additionally fan the session across an
-:class:`~repro.core.fleet.EnvironmentPool` — a fleet of named environment
-shards with per-shard capacities and probe-speed multipliers.  With
-``pool=`` set, probe dispatch goes through the pool's
-:class:`~repro.core.fleet.ShardScheduler`, worker slots become *shard*
-slots (so per-shard wall-clock timelines replace the single environment's
-timeline), every trial records the shard it ran on (``Trial.shard``,
-itemised by :meth:`~repro.core.trial.TrialHistory.cost_by_shard`), and
-asynchronous proposals receive the target shard's descriptor so
-constant-liar fantasies can lie with shard-specific probe cost.
-``pool=None`` (the default) keeps single-environment semantics
-bit-identical to the pre-fleet code.
+Any preset can fan the session across an
+:class:`~repro.core.fleet.EnvironmentPool` of named environment shards:
+worker slots become shard slots placed by the pool's
+:class:`~repro.core.fleet.ShardScheduler`, every trial records its shard
+(itemised by :meth:`~repro.core.trial.TrialHistory.cost_by_shard`), and
+launches hand strategies the target shard's descriptor.  ``pool=None``
+keeps single-environment semantics bit-identical to the pre-fleet code.
 
 Sessions also emit lifecycle events to :class:`SessionCallback` observers;
 :class:`ProgressLogger` (per-round progress lines) and
@@ -51,11 +40,11 @@ Example
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
-from abc import ABC, abstractmethod
 from heapq import heappop, heappush
-from typing import IO, List, Optional, Sequence, TextIO, Union
+from typing import IO, List, NamedTuple, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -75,7 +64,7 @@ from repro.core.trial import Trial, TrialHistory
 from repro.mlsim import Measurement, TrainingEnvironment
 
 #: Attempts a preempted probe gets (original launch + relaunches) before
-#: the executor abandons it as a failed trial.
+#: the engine abandons it as a failed trial.
 MAX_PROBE_ATTEMPTS = 3
 
 
@@ -91,65 +80,8 @@ def _set_env_clock(env, t: float) -> None:
         set_clock(t)
 
 
-def _measure_on(pool, shard, strategy, config, t: float):
-    """One probe attempt on a shard at virtual time ``t``.
-
-    Stamps the shard environment's clock and applies any open
-    failure-rate spike from the pool's injector as a transient
-    ``extra_failure_rate`` for just this probe.
-    """
-    env = shard.env
-    _set_env_clock(env, t)
-    injector = pool.injector
-    if injector is not None:
-        boost = injector.failure_boost(shard.name, t)
-        if boost > 0 and hasattr(env, "extra_failure_rate"):
-            env.extra_failure_rate = boost
-            try:
-                return shard.measure(strategy, config)
-            finally:
-                env.extra_failure_rate = 0.0
-    return shard.measure(strategy, config)
-
-
-def _abandoned_measurement(last: Measurement) -> Measurement:
-    """The failed, zero-cost record of a probe abandoned to outages.
-
-    The burned machine time of every preempted attempt was already billed
-    through ``charge_cancelled``, so the abandonment itself is free.
-    """
-    return Measurement(
-        config=last.config,
-        ok=False,
-        fidelity=last.fidelity,
-        error="probe preempted by repeated shard outages",
-        probe_cost_s=0.0,
-    )
-
-
-def _measure_preemptible(pool, strategy, shard, config, start_s, history):
-    """Run one probe on a shard, retrying across outage preemptions.
-
-    Returns ``(measurement, end_s)``.  Each attempt that an outage window
-    cuts short bills the wall-clock it burned via
-    :meth:`~repro.core.trial.TrialHistory.charge_cancelled` and relaunches
-    on the same shard once it recovers; after
-    :data:`MAX_PROBE_ATTEMPTS` preemptions the probe is abandoned as a
-    failed zero-cost measurement (the serial executor redirects to other
-    shards instead — it holds no other slots while waiting).
-    """
-    injector = pool.injector
-    t = float(start_s)
-    measurement = None
-    for _ in range(MAX_PROBE_ATTEMPTS):
-        measurement = _measure_on(pool, shard, strategy, config, t)
-        end_s = t + max(0.0, measurement.probe_cost_s)
-        preempt_s = injector.preemption_at(shard.name, t, end_s)
-        if preempt_s is None:
-            return measurement, end_s
-        history.charge_cancelled(max(0.0, preempt_s - t), shard=shard.name)
-        t = injector.up_after(shard.name, preempt_s)
-    return _abandoned_measurement(measurement), t
+def _shard_name(shard: Optional[EnvironmentShard]) -> Optional[str]:
+    return None if shard is None else shard.name
 
 
 class SessionCallback:
@@ -159,9 +91,11 @@ class SessionCallback:
     ``on_trial_start`` for every launched probe, ``on_trial_end`` for every
     recorded trial, ``on_round_end`` once, and finally ``on_session_end``.
 
-    Under an :class:`AsyncExecutor` there is no round barrier:
-    ``on_trial_start`` fires at *launch* (its ``index`` is the launch
-    ordinal) while ``on_trial_end`` fires at *completion* (the recorded
+    A round is one event step of the :class:`Executor`: one completion
+    under the serial and asynchronous presets, one barrier round under
+    :class:`ParallelExecutor`.  Without a barrier ``on_trial_start`` fires
+    at *launch* (its ``index`` is the launch ordinal) while
+    ``on_trial_end`` fires at *completion* (the recorded
     :attr:`Trial.index` is the completion ordinal), so a cheap probe
     launched late can end before an expensive probe launched early, and a
     probe still in flight when the session stops gets a start event with
@@ -342,53 +276,361 @@ class JsonlTrialLog(SessionCallback):
         self._handle = None
 
 
-class Executor(ABC):
-    """How one round of probes executes against the environment.
+class _Flight(NamedTuple):
+    """One launched probe; the in-flight heap pops flights by completion."""
 
-    Executors constructed with ``pool=`` dispatch probes through an
-    :class:`~repro.core.fleet.EnvironmentPool` instead of the single
-    environment passed to :meth:`run_round` (which may then be ``None``):
-    the pool's scheduler picks the shard, the shard's environment runs the
-    probe, and the recorded trial carries the shard name.
+    completion_s: float
+    launch: int
+    config: ConfigDict
+    measurement: Measurement
+    start_s: float  # the final attempt's start (after any preemption)
+    shard: Optional[EnvironmentShard]
+    holds_slot: bool  # False once a re-placed probe is abandoned
+    preempted: tuple  # (start, preemption) of each attempt cut short
+
+
+class Executor:
+    """The probe engine: an event-driven free-list of worker slots.
+
+    Each slot moves free → in flight → recorded.  A :meth:`run_round` call
+    is one *event step*: every free slot the budget and the strategy allow
+    is filled, then the earliest in-flight probe completes, is recorded
+    and observed, and its slot rejoins the free list at that completion
+    time.  Machine cost accrues for every probe second; the session
+    wall-clock advances to each completion in order, so its final value
+    is the makespan of the greedy schedule.  The three public names are
+    presets of this one engine:
+
+    - :class:`SerialExecutor` — ``workers=1``: the seed's serial loop;
+    - :class:`AsyncExecutor` — K workers, no round barrier;
+    - :class:`ParallelExecutor` — K workers behind a synchronous round
+      barrier (:attr:`barrier`).
+
+    Two behaviours follow from the slot count, not from options: with one
+    worker nothing else can be in flight, so launches use the plain
+    :meth:`~repro.core.strategy.SearchStrategy.propose` and an outage
+    preemption re-places the probe through the scheduler; with K workers
+    launches go through ``propose_async`` (conditioned on the in-flight
+    configurations) and a preempted probe retries on its own shard.
+
+    With ``pool=`` probes dispatch through an
+    :class:`~repro.core.fleet.EnvironmentPool` instead of the environment
+    passed to :meth:`run_round` (which may then be ``None``): slots are
+    the pool's *shard* slots, the scheduler picks the shard of each
+    launch, and the recorded trial carries the shard name.  ``workers``
+    then defaults to the pool's total capacity and may not exceed it.
+
+    Launch gating near the budget: no probe launches beyond
+    ``max_trials``, once committed machine cost (recorded plus in flight)
+    reaches ``max_cost_s``, or with a start time at or past
+    ``max_wall_clock_s``.  When the *strategy* finishes, in-flight probes
+    drain to completion; only *budget* exhaustion cancels them
+    (:meth:`cancel_pending`).
     """
 
-    workers: int = 1
-    pool: Optional[EnvironmentPool] = None
+    #: Round-synchronous policy (the :class:`ParallelExecutor` preset):
+    #: each step launches a whole round through ``propose_batch`` and
+    #: bills its wall-clock at the slowest member.
+    barrier: bool = False
+
+    def __init__(
+        self,
+        workers: Optional[int] = None,
+        pool: Optional[EnvironmentPool] = None,
+    ) -> None:
+        if pool is not None:
+            if workers is None:
+                workers = pool.total_capacity
+            elif workers > pool.total_capacity:
+                raise ValueError(
+                    f"workers ({workers}) exceed the pool's total "
+                    f"capacity ({pool.total_capacity})"
+                )
+        elif workers is None:
+            raise ValueError("workers is required without a pool")
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.workers = workers
+        self.pool = pool
+        self.reset()
 
     def reset(self, seed: int = 0) -> None:
-        """Hook: clear per-session state (called at the start of every run).
+        """Clear per-session state (called at the start of every run).
 
-        Stateful executors (the async free-list) must override this so a
-        reused instance does not leak in-flight probes or worker timelines
-        from a previous session; overrides must call ``super().reset(seed)``
-        so an attached pool re-derives its per-shard RNG streams from the
+        A reused instance leaks no in-flight probes or slot timelines, and
+        an attached pool re-derives its per-shard RNG streams from the
         session seed and rewinds occupancy and environment counters.
         """
-        if self.pool is not None:
+        # Free slots as (freed-up time, shard) pairs — shard is None
+        # without a pool — the in-flight heap, and the launch counter the
+        # budget gate checks.
+        if self.pool is None:
+            self._slots: List[tuple] = [(0.0, None)] * self.workers
+        else:
             self.pool.reset(seed)
+            self._slots = [
+                (0.0, shard)
+                for shard in self.pool.shards
+                for _ in range(shard.capacity)
+            ]
+        self._in_flight: List[_Flight] = []
+        self._launched = 0
 
     def has_pending(self) -> bool:
-        """Hook: True while launched-but-unrecorded probes are in flight.
+        """True while launched-but-unrecorded probes are in flight.
 
         The session keeps calling :meth:`run_round` to drain them after
         the strategy finishes (their measurements exist and their machine
-        time was spent — discarding them would under-report the session);
-        only budget exhaustion cancels pending probes outright.
+        time was spent); only budget exhaustion cancels them outright.
         """
-        return False
+        return bool(self._in_flight)
 
     def cancel_pending(self, history: TrialHistory) -> None:
-        """Hook: cancel in-flight probes when the session stops mid-flight.
+        """Cancel the in-flight probes when a budget stops the session.
 
-        Called once after the session loop exits with probes still
-        pending (budget exhaustion — the only exit that strands them).
-        Executors that track in-flight probes bill the machine time each
-        one burned up to the cancellation instant via
-        :meth:`TrialHistory.charge_cancelled`; a cancelled probe produced
-        no trial, but its elapsed seconds were still spent on the cluster.
+        The stop instant is the session clock at which the budget fired.
+        Each probe is billed through :meth:`_cancel` and its slot is freed,
+        so a drained engine reports no pending work.
         """
+        stop_s = history.total_wall_clock_s
+        for flight in self._in_flight:
+            self._cancel(
+                history,
+                flight.shard,
+                flight.start_s,
+                stop_s,
+                max(0.0, flight.measurement.probe_cost_s),
+                flight.preempted,
+            )
+            if flight.holds_slot:
+                self._give_back(stop_s, flight.shard)
+        self._in_flight = []
 
-    @abstractmethod
+    @staticmethod
+    def _cancel(history, shard, start_s, stop_s, duration_s, preempted=()) -> None:
+        """Bill one cancelled probe exactly the slot time it burned.
+
+        Its final attempt is billed the wall-clock from its launch to the
+        stop, clamped at zero (a probe relaunched after the stop burned
+        nothing more) and at its own duration.  Earlier attempts were
+        billed when their preemption was simulated; whatever part of
+        them lies past the stop never ran and is refunded.  A cancelled
+        probe produced no trial, but its elapsed seconds were still spent
+        on the cluster (:meth:`TrialHistory.charge_cancelled`).
+        """
+        name = _shard_name(shard)
+        history.charge_cancelled(
+            min(max(0.0, stop_s - start_s), duration_s), shard=name
+        )
+        unburned = sum(
+            max(0.0, end_s - max(stop_s, begin_s)) for begin_s, end_s in preempted
+        )
+        if unburned > 0:
+            history.refund_cancelled(unburned, shard=name)
+
+    # -- slots ---------------------------------------------------------------
+
+    def _next_free_slot(self) -> Optional[int]:
+        """Index of the slot to fill next, or None when nothing may launch.
+
+        The scheduler picks the shard when a pool is attached, then that
+        shard's earliest-freed slot: placement policy decides *where*, the
+        free list decides *when*.
+        """
+        if len(self._in_flight) >= self.workers:
+            return None
+        shard = None
+        if self.pool is not None:
+            shard = self.pool.scheduler.select(self.pool)
+            if shard is None:
+                return None
+        candidates = [i for i, slot in enumerate(self._slots) if slot[1] is shard]
+        return min(candidates, key=lambda i: self._slots[i][0], default=None)
+
+    def _take(self, index: int) -> tuple:
+        """Occupy a free slot — the commit point of a launch."""
+        shard = self._slots[index][1]
+        if shard is not None:
+            self.pool.acquire(shard.name)
+        return self._slots.pop(index)
+
+    def _give_back(self, free_s: float, shard: Optional[EnvironmentShard]) -> None:
+        """Return a slot to the free list, freed up at ``free_s``."""
+        self._slots.append((free_s, shard))
+        if shard is not None:
+            self.pool.release(shard.name)
+
+    def _recovery_after(self, t: float) -> Optional[float]:
+        """The earliest shard recovery later than ``t`` (None: nothing down)."""
+        up = None if self.pool is None else self.pool.next_up_s()
+        return up if up is not None and up > t else None
+
+    def _wait_for_recovery(self, history: TrialHistory) -> bool:
+        """With the fleet down, wait out its earliest recovery.
+
+        Dead wall-clock, no machine cost.  False when nothing recovers
+        later than now (no pool, or no shard down).
+        """
+        now = history.total_wall_clock_s
+        up = self._recovery_after(now)
+        if up is None:
+            return False
+        history.advance_wall_clock(up - now)
+        self.pool.set_clock(history.total_wall_clock_s)
+        return True
+
+    # -- probes --------------------------------------------------------------
+
+    def _measure(self, strategy, env, shard, config, t: float) -> Measurement:
+        """One probe attempt at virtual time ``t``.
+
+        Runs on ``shard`` (or the session environment without a pool)
+        after stamping its clock.  An open failure-rate spike from the
+        pool's injector applies as a transient ``extra_failure_rate`` for
+        just this probe.
+        """
+        if shard is None:
+            _set_env_clock(env, t)
+            return strategy.measure(env, config)
+        _set_env_clock(shard.env, t)
+        injector = self.pool.injector
+        boost = 0.0 if injector is None else injector.failure_boost(shard.name, t)
+        if boost > 0 and hasattr(shard.env, "extra_failure_rate"):
+            shard.env.extra_failure_rate = boost
+            try:
+                return shard.measure(strategy, config)
+            finally:
+                shard.env.extra_failure_rate = 0.0
+        return shard.measure(strategy, config)
+
+    def _probe(self, strategy, env, shard, config, start_s, launch, history):
+        """Run one launched probe to completion, across outage preemptions.
+
+        The probe owns the slot it launched on: the returned flight holds
+        it, and a raising probe gives it back.  Each attempt an outage
+        cuts short bills its burned wall-clock
+        (:meth:`TrialHistory.charge_cancelled`).  With one worker the
+        probe is then re-placed through the scheduler at the preemption
+        instant (on any healthy shard, or after the fleet's earliest
+        recovery); with more it retries on its own shard once that
+        recovers.  After :data:`MAX_PROBE_ATTEMPTS` attempts, or with no
+        shard left to run on, it is abandoned as a failed zero-cost
+        measurement.
+        """
+        injector = None if shard is None else self.pool.injector
+        t = float(start_s)
+        completion_s = None
+        holds_slot = True
+        preempted = []
+        try:
+            for _ in range(MAX_PROBE_ATTEMPTS):
+                if not holds_slot:
+                    self._take(index)
+                    holds_slot = True
+                measurement = self._measure(strategy, env, shard, config, t)
+                end_s = t + max(0.0, measurement.probe_cost_s)
+                preempt_s = (
+                    None
+                    if injector is None
+                    else injector.preemption_at(shard.name, t, end_s)
+                )
+                if preempt_s is None:
+                    completion_s = end_s
+                    break
+                history.charge_cancelled(max(0.0, preempt_s - t), shard=shard.name)
+                preempted.append((t, preempt_s))
+                if self.workers > 1:
+                    t = injector.up_after(shard.name, preempt_s)
+                    continue
+                self._give_back(preempt_s, shard)
+                holds_slot = False
+                t = preempt_s
+                self.pool.set_clock(t)
+                index = self._next_free_slot()
+                up = None if index is not None else self._recovery_after(t)
+                if up is not None:
+                    t = up
+                    self.pool.set_clock(t)
+                    index = self._next_free_slot()
+                if index is None:
+                    break
+                shard = self._slots[index][1]
+        except BaseException:
+            if holds_slot:
+                self._give_back(t, shard)
+            raise
+        if completion_s is None:
+            completion_s = t
+            measurement = Measurement(
+                config=measurement.config,
+                ok=False,
+                fidelity=measurement.fidelity,
+                error="probe preempted by repeated shard outages",
+                # Every preempted attempt was billed via charge_cancelled.
+                probe_cost_s=0.0,
+            )
+        return _Flight(
+            completion_s, launch, config, measurement, t, shard, holds_slot,
+            tuple(preempted),
+        )
+
+    # -- event steps ---------------------------------------------------------
+
+    def _may_launch(self, start_s, strategy, history, space, budget) -> bool:
+        if strategy.finished(history, space):
+            return False
+        if budget.max_trials is not None and self._launched >= budget.max_trials:
+            return False
+        if budget.max_wall_clock_s is not None and start_s >= budget.max_wall_clock_s:
+            return False
+        if budget.max_cost_s is not None:
+            committed = history.total_cost_s + sum(
+                flight.measurement.probe_cost_s for flight in self._in_flight
+            )
+            if committed >= budget.max_cost_s:
+                return False
+        return True
+
+    def _fill(self, strategy, env, space, history, rng, budget, events) -> None:
+        """Launch into every free slot the budget and the strategy allow."""
+        while True:
+            index = self._next_free_slot()
+            if index is None:
+                return
+            free_s, shard = self._slots[index]
+            # A slot can sit idle past its free-time while launches are
+            # gated — a stopping rule may un-finish when a draining probe
+            # records a success (e.g. FailureStreakRule).  It relaunches
+            # at the current session clock, never in the past, keeping
+            # completion stamps monotone.
+            start_s = max(free_s, history.total_wall_clock_s)
+            if not self._may_launch(start_s, strategy, history, space, budget):
+                return
+            if self.workers == 1:
+                config = strategy.propose(history, space, rng)
+            else:
+                launched = sorted(self._in_flight, key=lambda flight: flight.launch)
+                config = strategy.propose_async(
+                    history,
+                    [flight.config for flight in launched],
+                    space,
+                    rng,
+                    shard=None if shard is None else shard.descriptor,
+                )
+            if config is None:
+                # The strategy declines to launch until in-flight results
+                # land (e.g. a rung boundary); the slot stays free.
+                return
+            events.trial_start(self._launched, config)
+            self._take(index)
+            heappush(
+                self._in_flight,
+                self._probe(
+                    strategy, env, shard, config, start_s, self._launched, history
+                ),
+            )
+            self._launched += 1
+
     def run_round(
         self,
         strategy: SearchStrategy,
@@ -399,350 +641,182 @@ class Executor(ABC):
         budget: TuningBudget,
         events: _Events,
     ) -> List[Trial]:
-        """Propose, probe, and record one round; return the recorded trials."""
+        """Run one event step (a whole round under the barrier policy).
 
-
-class SerialExecutor(Executor):
-    """One probe per round — the seed's exact serial semantics.
-
-    With a pool, each probe is placed on the shard the scheduler picks
-    (one at a time, so the pool is never saturated); the wall-clock stays
-    the serial sum of probe costs.  A homogeneous pool over one shared
-    environment reproduces the single-environment trial sequence
-    bit-identically, whatever the shard rotation.
-    """
-
-    def __init__(self, pool: Optional[EnvironmentPool] = None) -> None:
-        self.pool = pool
-
-    def run_round(self, strategy, env, space, history, rng, budget, events):
-        shard: Optional[EnvironmentShard] = None
-        injector = None if self.pool is None else self.pool.injector
-        round_start_s = history.total_wall_clock_s
+        Returns the recorded trials; an empty list means the engine has
+        nothing more to do (budget gate, strategy decline, saturation).
+        """
         if self.pool is not None:
-            if injector is not None:
-                self.pool.set_clock(round_start_s)
-            shard = self.pool.scheduler.select(self.pool)
-            if shard is None and injector is not None:
-                # Every shard is inside an outage window: the session
-                # waits out the earliest recovery (dead wall-clock, no
-                # machine cost) instead of stalling out.
-                up = self.pool.next_up_s()
-                if up is not None and up > round_start_s:
-                    history.advance_wall_clock(up - round_start_s)
-                    round_start_s = history.total_wall_clock_s
-                    self.pool.set_clock(round_start_s)
-                    shard = self.pool.scheduler.select(self.pool)
-            if shard is None:
+            self.pool.set_clock(history.total_wall_clock_s)
+        if self.barrier:
+            return self._barrier_round(
+                strategy, env, space, history, rng, budget, events
+            )
+        self._fill(strategy, env, space, history, rng, budget, events)
+        while not self._in_flight:
+            # Nothing launched and nothing in flight: if the fleet is down,
+            # wait out its earliest recovery and refill; otherwise the
+            # session is genuinely done.
+            if not self._slots or not self._wait_for_recovery(history):
                 return []
-        config = strategy.propose(history, space, rng)
-        events.trial_start(len(history), config)
-        if shard is None:
-            _set_env_clock(env, round_start_s)
-            measurement = strategy.measure(env, config)
-            trial = history.record(config, measurement)
-        elif injector is None:
-            _set_env_clock(shard.env, round_start_s)
-            self.pool.acquire(shard.name)
-            try:
-                measurement = shard.measure(strategy, config)
-            finally:
-                self.pool.release(shard.name)
-            trial = history.record(config, measurement, shard=shard.name)
-        else:
-            measurement, end_s, shard = self._probe_with_redirect(
-                strategy, shard, config, round_start_s, history
-            )
-            trial = history.record(
-                config,
-                measurement,
-                wall_clock_s=max(0.0, end_s - round_start_s),
-                shard=shard.name,
-            )
+            self._fill(strategy, env, space, history, rng, budget, events)
+        flight = heappop(self._in_flight)
+        if flight.holds_slot:
+            self._give_back(flight.completion_s, flight.shard)
+        # Flights complete in order, so the session clock only advances;
+        # each trial's stamp is its physical completion time — with one
+        # worker, exactly the session clock the record advances to.
+        trial = history.record(
+            flight.config,
+            flight.measurement,
+            wall_clock_s=max(0.0, flight.completion_s - history.total_wall_clock_s),
+            completed_at_wall_s=None if self.workers == 1 else flight.completion_s,
+            launch_index=flight.launch,
+            shard=_shard_name(flight.shard),
+        )
         strategy.observe(trial)
         events.trial_end(trial)
         return [trial]
 
-    def _probe_with_redirect(self, strategy, shard, config, start_s, history):
-        """Probe under failure injection, redirecting across preemptions.
+    def _barrier_round(self, strategy, env, space, history, rng, budget, events):
+        """One synchronous round of up to ``workers`` probes.
 
-        Each attempt that an outage preempts bills the burned wall-clock
-        (:meth:`TrialHistory.charge_cancelled`) and asks the scheduler to
-        re-place the probe at the preemption instant — downed shards are
-        skipped, so the relaunch lands on any healthy shard (or the
-        original one after it recovers).  After
-        :data:`MAX_PROBE_ATTEMPTS` attempts, or with the whole fleet
-        down past its last recovery, the probe is abandoned as a failed
-        zero-cost measurement.  Returns ``(measurement, end_s, shard)``.
+        Slots are assigned up front — every member launches at the round
+        start — *before* the one ``propose_batch`` call, so cost-aware
+        strategies condition each member on the shard it will occupy.
+        Members are then measured, recorded, and observed one by one in
+        launch order, so gates like the BO tuner's early termination see
+        round-mates' results (on a real cluster the short probes driving
+        the gate finish long before the barrier).  Only the wall-clock
+        treats the round as concurrent: the session total advances by the
+        running round maximum, while each trial is stamped with its own
+        completion time, round start plus its own duration.
         """
-        injector = self.pool.injector
-        t = float(start_s)
-        measurement = None
-        for _ in range(MAX_PROBE_ATTEMPTS):
-            self.pool.acquire(shard.name)
-            try:
-                measurement = _measure_on(self.pool, shard, strategy, config, t)
-            finally:
-                self.pool.release(shard.name)
-            end_s = t + max(0.0, measurement.probe_cost_s)
-            preempt_s = injector.preemption_at(shard.name, t, end_s)
-            if preempt_s is None:
-                return measurement, end_s, shard
-            history.charge_cancelled(max(0.0, preempt_s - t), shard=shard.name)
-            t = preempt_s
-            self.pool.set_clock(t)
-            next_shard = self.pool.scheduler.select(self.pool)
-            if next_shard is None:
-                up = self.pool.next_up_s()
-                if up is not None and up > t:
-                    t = up
-                    self.pool.set_clock(t)
-                    next_shard = self.pool.scheduler.select(self.pool)
-            if next_shard is None:
-                break
-            shard = next_shard
-        return _abandoned_measurement(measurement), t, shard
-
-
-class ParallelExecutor(Executor):
-    """K-way synchronous parallel probing with honest wall-clock accounting.
-
-    Each round asks the strategy for up to ``workers`` configurations,
-    probes every member, and records all of them under one round index.
-    Machine cost accrues for every probe; wall-clock accrues once per
-    round, at the cost of the slowest member (the synchronous barrier).
-    The batch is truncated near the trial budget so a session never
-    overshoots ``max_trials``.
-
-    Probes are *simulated* member by member (the convention the
-    constant-liar module established): each member is measured, recorded,
-    and observed before the next, so gates like the BO tuner's early
-    termination see round-mates' results — on a real cluster the short
-    probes that drive the gate finish in the first fraction of the round,
-    long before the round barrier.  Only the wall-clock accounting treats
-    the round as concurrent.
-
-    With a pool, the round width is the pool's total slot capacity and
-    every member is placed on a shard (acquired for the whole round — the
-    barrier holds all slots until the round closes); probe durations then
-    reflect each shard's ``cost_multiplier`` and trials carry the shard
-    name.
-    """
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        pool: Optional[EnvironmentPool] = None,
-    ) -> None:
-        if pool is not None:
-            self.workers = pool.total_capacity if workers is None else workers
-            if self.workers > pool.total_capacity:
-                raise ValueError(
-                    f"workers ({self.workers}) exceed the pool's total "
-                    f"capacity ({pool.total_capacity})"
-                )
-        else:
-            if workers is None:
-                raise ValueError("workers is required without a pool")
-            self.workers = workers
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.pool = pool
-
-    def run_round(self, strategy, env, space, history, rng, budget, events):
+        if self.pool is not None and self.pool.free_capacity() == 0:
+            self._wait_for_recovery(history)
         k = self.workers
-        injector = None if self.pool is None else self.pool.injector
-        if injector is not None:
-            self.pool.set_clock(history.total_wall_clock_s)
-            if self.pool.free_capacity() == 0:
-                # The whole fleet is inside outage windows: wait out the
-                # earliest recovery (dead wall-clock, no machine cost).
-                up = self.pool.next_up_s()
-                if up is not None and up > history.total_wall_clock_s:
-                    history.advance_wall_clock(up - history.total_wall_clock_s)
-                    self.pool.set_clock(history.total_wall_clock_s)
-            # Downed shards drop out of the round width exactly like a
-            # shrunken lease — the barrier narrows instead of tripping the
-            # mid-assignment saturation error below.
-            k = min(k, self.pool.free_capacity())
-        if self.pool is not None and self.pool.lease_width is not None:
-            # Under a service lease the round width is the leased free
-            # capacity, not the raw slot count — a shrunken lease narrows
-            # the round (a zero-width lease skips it) instead of tripping
-            # the mid-assignment saturation error below.
+        if self.pool is not None:
+            # Downed shards and a shrunken service lease narrow the round
+            # (a zero-width lease skips it) instead of tripping the
+            # saturation error below.
             k = min(k, self.pool.free_capacity())
         if budget.max_trials is not None:
             k = min(k, budget.max_trials - len(history))
         if k < 1:
             return []
         round_index = history.num_rounds
-        round_start_wall_s = history.total_wall_clock_s
-        shards: List[Optional[EnvironmentShard]] = []
-        trials = []
-        round_wall_s = 0.0
+        start_s = history.total_wall_clock_s
+        injector = None if self.pool is None else self.pool.injector
+        held: List[Optional[EnvironmentShard]] = []
+        trials: List[Trial] = []
         try:
-            # All members launch at the round start, so shard slots are
-            # assigned up front (and held until the round closes — the
-            # synchronous barrier occupies its machines for the whole
-            # round).  Assignment runs *before* the proposals so the
-            # strategy sees where each member will run — cost-aware
-            # strategies condition each member's proposal and fantasy on
-            # its own shard's probe speed — and inside the try so a
-            # scheduler failing mid-assignment cannot leak the slots
-            # already acquired.
-            descriptors = None
-            if self.pool is not None:
-                for _ in range(k):
-                    shard = self.pool.scheduler.select(self.pool)
-                    if shard is None:
-                        raise RuntimeError(
-                            "pool saturated mid-assignment: scheduler returned "
-                            "no shard for a round within the pool's total "
-                            "capacity"
-                        )
-                    self.pool.acquire(shard.name)
-                    shards.append(shard)
-                descriptors = [shard.descriptor for shard in shards]
+            for _ in range(k):
+                index = self._next_free_slot()
+                if index is None:
+                    raise RuntimeError(
+                        "pool saturated mid-assignment: scheduler returned "
+                        "no shard for a round within the pool's total capacity"
+                    )
+                held.append(self._take(index)[1])
+            descriptors = (
+                None if self.pool is None else [shard.descriptor for shard in held]
+            )
             batch = strategy.propose_batch(history, space, rng, k, shards=descriptors)
-            if not batch:
-                return []
-            if self.pool is None:
-                shards = [None] * len(batch)
-            elif len(batch) < len(shards):
-                # Short batch (grid exhaustion, rung boundary): the unused
-                # trailing slots never probe anything — hand them back now
-                # rather than holding them across the round barrier.
-                for shard in shards[len(batch):]:
-                    self.pool.release(shard.name)
-                shards = shards[: len(batch)]
+            # A short batch (grid exhaustion, rung boundary) hands its
+            # unused slots back rather than holding them across the round.
+            while len(held) > len(batch):
+                self._give_back(start_s, held.pop())
             for offset, config in enumerate(batch):
                 events.trial_start(len(history) + offset, config)
-            for member, (config, shard) in enumerate(zip(batch, shards)):
-                if shard is None:
-                    _set_env_clock(env, round_start_wall_s)
-                    measurement = strategy.measure(env, config)
-                    duration = measurement.probe_cost_s
-                elif injector is None:
-                    _set_env_clock(shard.env, round_start_wall_s)
-                    measurement = shard.measure(strategy, config)
-                    duration = measurement.probe_cost_s
-                else:
-                    # Preempted members retry on their own shard after it
-                    # recovers (the slot is held for the whole round); the
-                    # member's duration then includes the dead time.
-                    measurement, end_s = _measure_preemptible(
-                        self.pool, strategy, shard, config,
-                        round_start_wall_s, history,
-                    )
-                    duration = max(0.0, end_s - round_start_wall_s)
-                # The session total advances by the running round maximum (the
-                # slowest member so far — exactly the round's slowest probe
-                # once the round completes), while each trial is stamped with
-                # its own physical completion time: round start plus its own
-                # probe cost, independent of batch order.
+            round_wall_s = 0.0
+            for config in batch:
+                flight = self._probe(
+                    strategy, env, held.pop(0), config, start_s, len(history), history
+                )
+                if flight.holds_slot:
+                    self._give_back(flight.completion_s, flight.shard)
+                duration = (
+                    flight.measurement.probe_cost_s
+                    if injector is None
+                    else max(0.0, flight.completion_s - start_s)
+                )
                 new_wall_s = max(round_wall_s, duration)
                 trial = history.record(
                     config,
-                    measurement,
+                    flight.measurement,
                     wall_clock_s=new_wall_s - round_wall_s,
                     round_index=round_index,
-                    completed_at_wall_s=round_start_wall_s + duration,
-                    shard=None if shard is None else shard.name,
+                    completed_at_wall_s=start_s + duration,
+                    shard=_shard_name(flight.shard),
                 )
                 round_wall_s = new_wall_s
                 strategy.observe(trial)
                 events.trial_end(trial)
                 trials.append(trial)
-                # A cost-bounded budget stops mid-round: the remaining members
-                # are cancelled, capping overshoot at one *recorded* probe — as
-                # in serial.  Cancellation is not free: every member launched
-                # at the round start, so each cancelled member's slot was
-                # occupied from the round start until the cancellation order
-                # went out — the round's latest completion so far (the running
-                # wall maximum, which covers the case where an earlier, slower
-                # member is what actually pushed the total over the cap).
-                # That elapsed wall-clock is billed as machine cost (itemised
-                # in ``cancelled_cost_s`` and under the member's shard); the
-                # cancelled probes were never measured, so the bill is the
-                # slot-occupancy time, the quantity a real cluster invoice
-                # charges for.
-                # A wall-clock cap deliberately does NOT cancel mid-round: the
-                # whole batch launched at the round start, before the cap could
-                # gate anything, and members record in batch order rather than
-                # completion order — cancelling on the running wall total would
-                # drop probes that physically completed before the cap whenever
-                # a slow member happens to record first.  The cap instead stops
-                # the session at the round boundary (the loop's budget check).
+                # A cost-bounded budget stops mid-round: the unprobed
+                # members are cancelled, capping overshoot at one recorded
+                # probe as in serial.  Each held its slot from the round
+                # start until the cancellation went out — the round's
+                # latest completion so far — so, in round-relative time,
+                # it is billed from 0 to the running maximum (it was never
+                # measured, so its own duration is no cap).  A wall-clock
+                # cap deliberately does NOT cancel mid-round: members
+                # record in batch order, not completion order, so the
+                # running total would drop probes that physically finished
+                # before the cap; it stops the session at the round
+                # boundary instead.
                 if (
                     budget.max_cost_s is not None
                     and history.total_cost_s >= budget.max_cost_s
                 ):
-                    elapsed = round_wall_s
-                    for cancelled_shard in shards[member + 1:]:
-                        history.charge_cancelled(
-                            elapsed,
-                            shard=(
-                                None
-                                if cancelled_shard is None
-                                else cancelled_shard.name
-                            ),
-                        )
+                    for shard in held:
+                        self._cancel(history, shard, 0.0, round_wall_s, math.inf)
                     break
         finally:
-            if self.pool is not None:
-                for shard in shards:
-                    if shard is not None:
-                        self.pool.release(shard.name)
+            for shard in held:
+                self._give_back(start_s, shard)
         return trials
 
 
+class SerialExecutor(Executor):
+    """Preset: one worker — the seed's serial loop.
+
+    Histories are trial-for-trial identical to the pre-session loop at
+    the same seed.  With a pool, each probe goes to the shard the
+    scheduler picks; a homogeneous pool over one shared environment
+    reproduces the single-environment trial sequence bit-identically,
+    whatever the shard rotation.
+    """
+
+    def __init__(self, pool: Optional[EnvironmentPool] = None) -> None:
+        super().__init__(1, pool)
+
+
+class ParallelExecutor(Executor):
+    """Preset: K-way round-synchronous probing (the :attr:`barrier` policy).
+
+    Each round asks the strategy for up to ``workers`` configurations
+    through ``propose_batch`` (the BO tuner uses constant-liar
+    fantasisation, see :mod:`repro.core.parallel`) and records all of
+    them under one round index.  Machine cost accrues for every probe;
+    wall-clock accrues once per round, at the slowest member.  The round
+    is truncated near the trial budget so a session never overshoots
+    ``max_trials``.  With a pool, ``workers`` defaults to the pool's
+    total capacity.
+    """
+
+    barrier = True
+
+
 class AsyncExecutor(Executor):
-    """Barrier-free K-worker probing: a simulated event-driven free-list.
+    """Preset: K barrier-free workers.
 
-    Each worker holds one in-flight (configuration, completion-time) slot.
-    A ``run_round`` call is one *event step*: first every free worker is
-    filled — the strategy supplies each launch through
-    :meth:`SearchStrategy.propose_async`, conditioned on the
-    configurations still pending on the other workers (the BO tuner
-    fantasises them with the constant liar) — then the earliest in-flight
-    probe completes, is recorded and observed, and its worker rejoins the
-    free list at that completion time, ready for the next step's refill.
-
-    Accounting matches the synchronous executors probe-for-probe on the
-    machine-cost axis (every probe second is billed) but the wall-clock is
-    each worker's own timeline: the session clock advances to each
-    completion in order, so the final ``total_wall_clock_s`` is the
-    makespan of the greedy schedule — never worse than the synchronous
-    round barrier for the same probe sequence, and strictly better
-    whenever probe durations are heterogeneous enough that a round's
-    stragglers would have idled the other workers.
-
-    Launch gating near the budget: no probe is launched beyond
-    ``max_trials``, past the point where committed machine cost (recorded
-    plus in-flight) reaches ``max_cost_s``, or with a start time at or
-    past ``max_wall_clock_s``.  When the *strategy* finishes (grid
-    exhausted, EI threshold) the in-flight probes drain to completion and
-    are recorded; only *budget* exhaustion cancels them outright (start
-    event without end event), mirroring the synchronous executor's
-    cancellation of a round's unprobed remainder.  A cancelled probe is
-    not free: it ran from its launch until the session stopped, so
-    :meth:`cancel_pending` bills that elapsed wall-clock (clamped to the
-    probe's own duration) as machine cost via
-    :meth:`TrialHistory.charge_cancelled` — the cluster bill keeps every
-    second a worker actually burned, recorded or not.
-
-    Trials are recorded in *completion* order: :attr:`Trial.index` is the
-    completion ordinal while ``on_trial_start`` carries the launch
-    ordinal, and each trial's round is its own event step (``num_rounds``
-    equals the number of completions).
-
-    With a pool, the worker slots are the pool's *shard* slots: a freed
-    slot belongs to a specific shard, the scheduler decides which shard's
-    slot to fill next, each launch hands the strategy the target shard's
-    descriptor (so constant-liar fantasies lie with shard-specific probe
-    cost), and each slot's timeline advances at its shard's own probe
-    speed — the per-shard wall-clock timelines that replace the single
-    environment's clock.
+    Each freed worker pulls a fresh proposal the moment its probe
+    completes, so heterogeneous probe durations no longer idle K-1
+    workers behind a round's straggler.  Trials record in *completion*
+    order: :attr:`Trial.index` is the completion ordinal, ``on_trial_start``
+    carries the launch ordinal, and ``num_rounds`` equals the number of
+    completions.  With a pool the workers *are* the pool's shard slots.
     """
 
     def __init__(
@@ -750,227 +824,14 @@ class AsyncExecutor(Executor):
         workers: Optional[int] = None,
         pool: Optional[EnvironmentPool] = None,
     ) -> None:
-        if pool is not None:
-            # Async slots ARE the pool's shard slots, so a separate worker
-            # count is ambiguous (which shards would lose slots?).  Reject
-            # it rather than silently ignoring the requested concurrency.
-            if workers is not None:
-                raise ValueError(
-                    "workers is determined by the pool's total capacity; "
-                    "size the pool's shard capacities instead"
-                )
-            self.workers = pool.total_capacity
-        else:
-            if workers is None:
-                raise ValueError("workers is required without a pool")
-            if workers < 1:
-                raise ValueError("workers must be >= 1")
-            self.workers = workers
-        self.pool = pool
-        self.reset()
-
-    def reset(self, seed: int = 0) -> None:
-        # Per-session state: free slots as (freed-up time, shard) pairs —
-        # shard is None without a pool — the in-flight heap of
-        # (completion_s, launch ordinal, config, measurement, start_s,
-        # shard), and the launch counter the budget gate checks.
-        super().reset(seed)
-        if self.pool is None:
-            self._slots: List[tuple] = [(0.0, None)] * self.workers
-        else:
-            self._slots = [
-                (0.0, shard)
-                for shard in self.pool.shards
-                for _ in range(shard.capacity)
-            ]
-        self._in_flight: List[tuple] = []
-        self._launched = 0
-
-    def has_pending(self) -> bool:
-        return bool(self._in_flight)
-
-    def cancel_pending(self, history: TrialHistory) -> None:
-        """Bill the partial machine cost of every cancelled in-flight probe.
-
-        The cancellation instant is the session clock at which the budget
-        fired — the wall-clock stamp of the completion that exhausted it.
-        Each in-flight probe is billed the wall-time between its launch
-        and that instant, clamped to its own duration (a probe whose
-        completion coincides with the stop is billed in full) and
-        itemised under its shard, and the in-flight list is cleared so a
-        drained executor reports no pending work.
-        """
-        stop_wall_s = history.total_wall_clock_s
-        for _, _, _, measurement, start_s, shard in self._in_flight:
-            elapsed = min(
-                max(0.0, stop_wall_s - start_s),
-                max(0.0, measurement.probe_cost_s),
+        if pool is not None and workers is not None:
+            # Which shards would lose slots?  Reject the ambiguous count
+            # rather than silently ignoring the requested concurrency.
+            raise ValueError(
+                "workers is determined by the pool's total capacity; "
+                "size the pool's shard capacities instead"
             )
-            history.charge_cancelled(
-                elapsed, shard=None if shard is None else shard.name
-            )
-            if shard is not None:
-                self.pool.release(shard.name)
-        self._in_flight = []
-
-    def _pending_configs(self) -> List[ConfigDict]:
-        """In-flight configurations, in launch order."""
-        return [entry[2] for entry in sorted(self._in_flight, key=lambda e: e[1])]
-
-    def _next_free_slot(self) -> Optional[int]:
-        """Index of the slot to fill next, or None when nothing may launch.
-
-        Without a pool: the earliest-freed slot, so each launch is
-        conditioned on exactly the trials completed by its start time.
-        With a pool: the scheduler picks the shard, then that shard's
-        earliest-freed slot — placement policy decides *where*, the
-        free-list still decides *when*.
-        """
-        if not self._slots:
-            return None
-        if self.pool is None:
-            return min(range(len(self._slots)), key=lambda i: self._slots[i][0])
-        shard = self.pool.scheduler.select(self.pool)
-        if shard is None:
-            return None
-        candidates = [i for i, slot in enumerate(self._slots) if slot[1] is shard]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda i: self._slots[i][0])
-
-    def _may_launch(
-        self,
-        start_s: float,
-        strategy: SearchStrategy,
-        history: TrialHistory,
-        space: ConfigSpace,
-        budget: TuningBudget,
-    ) -> bool:
-        if strategy.finished(history, space):
-            return False
-        if budget.max_trials is not None and self._launched >= budget.max_trials:
-            return False
-        if budget.max_wall_clock_s is not None and start_s >= budget.max_wall_clock_s:
-            return False
-        if budget.max_cost_s is not None:
-            committed = history.total_cost_s + sum(
-                entry[3].probe_cost_s for entry in self._in_flight
-            )
-            if committed >= budget.max_cost_s:
-                return False
-        return True
-
-    def _fill_slots(self, strategy, env, space, history, rng, budget, events):
-        # Fill every free slot (earliest-free first; the scheduler picks
-        # the shard when a pool is attached), so each launch is
-        # conditioned on exactly the trials completed by its start time.
-        injector = None if self.pool is None else self.pool.injector
-        while True:
-            slot_index = self._next_free_slot()
-            if slot_index is None:
-                break
-            free_s, shard = self._slots[slot_index]
-            # A worker can sit idle past its free-time while launches are
-            # gated — a stopping rule may un-finish when a draining probe
-            # records a success (e.g. FailureStreakRule).  It re-launches
-            # at the current session clock, never in the past, keeping
-            # completion stamps monotone.
-            start_s = max(free_s, history.total_wall_clock_s)
-            if not self._may_launch(start_s, strategy, history, space, budget):
-                break
-            if shard is None:
-                config = strategy.propose_async(
-                    history, self._pending_configs(), space, rng
-                )
-            else:
-                config = strategy.propose_async(
-                    history,
-                    self._pending_configs(),
-                    space,
-                    rng,
-                    shard=shard.descriptor,
-                )
-            if config is None:
-                # The strategy declines to launch until in-flight results
-                # land (e.g. a rung boundary); the worker stays free.
-                break
-            del self._slots[slot_index]
-            events.trial_start(self._launched, config)
-            if shard is None:
-                _set_env_clock(env, start_s)
-                measurement = strategy.measure(env, config)
-                completion_s = start_s + max(0.0, measurement.probe_cost_s)
-            else:
-                self.pool.acquire(shard.name)
-                try:
-                    if injector is None:
-                        _set_env_clock(shard.env, start_s)
-                        measurement = shard.measure(strategy, config)
-                        completion_s = start_s + max(0.0, measurement.probe_cost_s)
-                    else:
-                        # Outage preemptions retry on the same shard after
-                        # recovery (the slot stays occupied); the recorded
-                        # completion then includes the dead time.
-                        measurement, completion_s = _measure_preemptible(
-                            self.pool, strategy, shard, config, start_s, history
-                        )
-                except BaseException:
-                    # A raising probe must not strand the slot: put it back
-                    # and free the shard so a caller that catches the error
-                    # sees consistent pool occupancy.
-                    self.pool.release(shard.name)
-                    self._slots.append((free_s, shard))
-                    raise
-            heappush(
-                self._in_flight,
-                (
-                    completion_s,
-                    self._launched,
-                    config,
-                    measurement,
-                    start_s,
-                    shard,
-                ),
-            )
-            self._launched += 1
-
-    def run_round(self, strategy, env, space, history, rng, budget, events):
-        injector = None if self.pool is None else self.pool.injector
-        if injector is not None:
-            self.pool.set_clock(history.total_wall_clock_s)
-        self._fill_slots(strategy, env, space, history, rng, budget, events)
-        while not self._in_flight:
-            if injector is None or not self._slots:
-                return []
-            # Nothing launched and nothing in flight: if shards are down,
-            # wait out the earliest recovery (dead wall-clock, no machine
-            # cost) and refill; otherwise the session is genuinely done.
-            up = self.pool.next_up_s()
-            now = history.total_wall_clock_s
-            if up is None or up <= now:
-                return []
-            history.advance_wall_clock(up - now)
-            self.pool.set_clock(history.total_wall_clock_s)
-            self._fill_slots(strategy, env, space, history, rng, budget, events)
-        completion_s, launch_ordinal, config, measurement, _, shard = heappop(
-            self._in_flight
-        )
-        self._slots.append((completion_s, shard))
-        if shard is not None:
-            self.pool.release(shard.name)
-        # Events drain in completion order, so the session clock only ever
-        # advances; each trial's stamp is its physical completion time.
-        trial = history.record(
-            config,
-            measurement,
-            wall_clock_s=max(0.0, completion_s - history.total_wall_clock_s),
-            completed_at_wall_s=completion_s,
-            launch_index=launch_ordinal,
-            shard=None if shard is None else shard.name,
-        )
-        strategy.observe(trial)
-        events.trial_end(trial)
-        return [trial]
+        super().__init__(workers, pool)
 
 
 EXECUTOR_MODES = ("sync", "async")
@@ -1003,15 +864,10 @@ def executor_for(
             f"unknown executor mode {mode!r}: valid modes are "
             + ", ".join(repr(m) for m in EXECUTOR_MODES)
         )
-    if pool is not None:
-        if workers == 1 or pool.total_capacity == 1:
-            return SerialExecutor(pool=pool)
-        if mode == "async":
-            return AsyncExecutor(pool=pool)
-        return ParallelExecutor(pool=pool)
-    if workers == 1:
-        return SerialExecutor()
-    return AsyncExecutor(workers) if mode == "async" else ParallelExecutor(workers)
+    if workers == 1 or (pool is not None and pool.total_capacity == 1):
+        return SerialExecutor(pool=pool)
+    preset = AsyncExecutor if mode == "async" else ParallelExecutor
+    return preset(pool=pool) if pool is not None else preset(workers)
 
 
 class TuningSession:

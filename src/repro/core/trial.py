@@ -273,6 +273,21 @@ class TrialHistory:
         self.total_cost_s += cost_s
         self._cost_by_shard[shard] = self._cost_by_shard.get(shard, 0.0) + cost_s
 
+    def refund_cancelled(self, cost_s: float, shard: Optional[str] = None) -> None:
+        """Take back a cancellation charge for time that never elapsed.
+
+        A preempted attempt is billed when the executor simulates its
+        preemption, which can lie past the instant a budget later stops
+        the session; cancelling that probe refunds the part of the charge
+        after the stop.  The refund may not exceed the cancelled cost
+        billed so far.
+        """
+        if not 0 <= cost_s <= self.cancelled_cost_s:
+            raise ValueError("refund must be within the cancelled cost billed")
+        self.cancelled_cost_s -= cost_s
+        self.total_cost_s -= cost_s
+        self._cost_by_shard[shard] -= cost_s
+
     def advance_wall_clock(self, dt_s: float) -> None:
         """Move the session wall-clock forward without recording a trial.
 

@@ -21,11 +21,19 @@ from repro.core import (
     Checkpoint,
     CheckpointConfig,
     CheckpointError,
+    EnvironmentPool,
+    EnvironmentShard,
     MLConfigTuner,
     TuningBudget,
 )
-from repro.core.checkpoint import CheckpointJournal
-from repro.core.session import JsonlTrialLog, TuningSession
+from repro.core.checkpoint import CheckpointJournal, executor_fingerprint
+from repro.core.session import (
+    AsyncExecutor,
+    JsonlTrialLog,
+    ParallelExecutor,
+    SerialExecutor,
+    TuningSession,
+)
 from repro.core.transfer import HistoryRepository
 from repro.core.trial import (
     RestoredEvent,
@@ -212,6 +220,52 @@ def test_resume_with_wrong_executor_is_rejected(tmp_path):
         TuningSession(RandomSearch(), executor=AsyncExecutor(4)).restore(
             ckpt, make_env(), space()
         )
+
+
+def _fingerprint_pool():
+    return EnvironmentPool(
+        [
+            EnvironmentShard("a", make_env()),
+            EnvironmentShard("b", make_env(), capacity=3, cost_multiplier=1.5),
+        ]
+    )
+
+
+_POOL_FINGERPRINT = [
+    ["a", 1, 1.0],
+    ["b", 3, 1.5],
+    ["scheduler", "RoundRobinScheduler", 0.0],
+]
+
+
+@pytest.mark.parametrize(
+    "factory,expected",
+    [
+        (lambda: SerialExecutor(), ("SerialExecutor", 1, None)),
+        (
+            lambda: SerialExecutor(pool=_fingerprint_pool()),
+            ("SerialExecutor", 1, _POOL_FINGERPRINT),
+        ),
+        (lambda: ParallelExecutor(4), ("ParallelExecutor", 4, None)),
+        (
+            lambda: ParallelExecutor(pool=_fingerprint_pool()),
+            ("ParallelExecutor", 4, _POOL_FINGERPRINT),
+        ),
+        (lambda: AsyncExecutor(4), ("AsyncExecutor", 4, None)),
+        (
+            lambda: AsyncExecutor(pool=_fingerprint_pool()),
+            ("AsyncExecutor", 4, _POOL_FINGERPRINT),
+        ),
+    ],
+    ids=["serial", "serial-pool", "sync", "sync-pool", "async", "async-pool"],
+)
+def test_executor_fingerprint_is_pinned_per_preset(factory, expected):
+    """On-disk checkpoints validate against these exact dicts: a change to
+    any of them orphans every checkpoint written before it."""
+    kind, workers, pool = expected
+    fingerprint = executor_fingerprint(factory())
+    assert fingerprint == {"kind": kind, "workers": workers, "pool": pool}
+    assert json.loads(json.dumps(fingerprint)) == fingerprint
 
 
 def test_resume_with_different_seed_diverges_loudly(tmp_path):

@@ -13,8 +13,10 @@ from repro.core import (
     CheapestEligibleScheduler,
     EnvironmentPool,
     EnvironmentShard,
+    FailureInjector,
     LeastLoadedScheduler,
     MLConfigTuner,
+    OutageWindow,
     ParallelExecutor,
     RoundRobinScheduler,
     SerialExecutor,
@@ -340,6 +342,49 @@ class TestExecutorDispatch:
         assert sum(result.history.cost_by_shard().values()) == pytest.approx(
             result.total_cost_s
         )
+
+    @pytest.mark.parametrize(
+        "outage_start,slow_multiplier,slow_bill",
+        [(1.0, 5.0, 1.0), (1.0, 50.0, 1.0), (15.0, 50.0, 12.0)],
+    )
+    def test_async_cancellation_bills_only_time_before_the_stop(
+        self, outage_start, slow_multiplier, slow_bill
+    ):
+        # "slow" is preempted by an outage and relaunches at 20s, after
+        # the 12s wall cap has stopped the session.  Preempted at 1s, it
+        # burned only that first second — not the span since its original
+        # launch.  Preempted at 15s, it ran from 0 until the stop at 12s,
+        # not until the preemption instant.
+        pool = EnvironmentPool(
+            [
+                EnvironmentShard("fast", StubEnv()),
+                EnvironmentShard("slow", StubEnv(), cost_multiplier=slow_multiplier),
+            ],
+            scheduler=RoundRobinScheduler(),
+            injector=FailureInjector(
+                outages=[OutageWindow("slow", outage_start, 20.0)]
+            ),
+        )
+        result = TuningSession(
+            CostedStrategy([2.0]), executor=AsyncExecutor(pool=pool)
+        ).run(None, stub_space(), TuningBudget(max_wall_clock_s=12.0), seed=0)
+        history = result.history
+        assert [t.shard for t in history] == ["fast"] * 6
+        assert history.total_wall_clock_s == pytest.approx(12.0)
+        assert history.cancelled_cost_s == pytest.approx(slow_bill)
+        assert history.cost_by_shard()["slow"] == pytest.approx(slow_bill)
+        assert sum(history.cost_by_shard().values()) == pytest.approx(
+            history.total_cost_s
+        )
+
+    def test_cancellation_refund_is_bounded(self):
+        history = TrialHistory()
+        history.charge_cancelled(5.0, shard="s0")
+        history.refund_cancelled(2.0, shard="s0")
+        assert history.cancelled_cost_s == history.total_cost_s == 3.0
+        assert history.cost_by_shard() == {"s0": 3.0}
+        with pytest.raises(ValueError):
+            history.refund_cancelled(4.0, shard="s0")
 
     def test_sync_mid_round_cancellation_bills_under_shard(self):
         pool = two_speed_pool(multipliers=(1.0, 1.0, 1.0, 1.0))
