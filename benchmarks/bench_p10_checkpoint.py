@@ -80,18 +80,21 @@ def _run(checkpoint=None):
 
 
 def _quick_cell(repeats):
-    """Time plain vs checkpointed(every=1) runs; assert exact identity."""
-    plain_s, plain_result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        plain_result = _run()
-        plain_s = min(plain_s, time.perf_counter() - start)
+    """Time plain vs checkpointed(every=1) runs; assert exact identity.
 
-    ckpt_s, resume_s = float("inf"), float("inf")
-    ckpt_result = resumed_result = None
+    The two arms alternate within each repeat (plain, then checkpointed),
+    so slow drift in machine load lands on both arms alike instead of on
+    whichever arm ran second; each arm keeps its minimum over repeats.
+    """
+    plain_s = ckpt_s = resume_s = float("inf")
+    plain_result = ckpt_result = resumed_result = None
     last_path = None
     with tempfile.TemporaryDirectory() as scratch:
         for repeat in range(repeats):
+            start = time.perf_counter()
+            plain_result = _run()
+            plain_s = min(plain_s, time.perf_counter() - start)
+
             checkpoint = CheckpointConfig(
                 os.path.join(scratch, f"bench-{repeat}.ckpt"), every_n_trials=1
             )

@@ -36,6 +36,27 @@ factor is built by :meth:`GaussianProcess.fit` and then *reused*:
 
 The cached factor is invalidated only by ``fit`` (which may change
 hyperparameters); nothing else mutates it.
+
+The hyperfit is where sessions spend their time: every L-BFGS-B step
+evaluates the LML and its gradient once, thousands of times per session.
+:meth:`GaussianProcess._neg_log_marginal` makes each evaluation one pass:
+
+- one scaled-distance GEMM (:func:`~repro.core.kernels.train_sq_dists`);
+- one ``sqrt``/``exp`` pass returning both the covariance and the
+  lengthscale-gradient weight (:meth:`Kernel.cov_and_weight`), which the
+  gradient contraction (:func:`~repro.core.kernels.ard_grad_dot`) reuses;
+- noise and jitter added in place on the diagonal of the one copy LAPACK
+  factors (:func:`_chol_with_jitter`, also used by the posterior refresh,
+  the ``extend`` fallback and the sparse tier's inducing factor);
+- direct LAPACK ``dpotrf``/``dpotrs`` calls, without the scipy wrappers'
+  finiteness checks.
+
+Value and gradient are bit-identical to the earlier two-pass evaluation
+(``tests/_gp_reference.py`` pins that), so fitted hyperparameters and every
+session trajectory are unchanged.  Two tempting shortcuts break that:
+writing the distance GEMM as ``a @ a.T`` (numpy routes it to ``syrk``,
+which rounds differently from ``gemm``), and forming ``K^-1`` with
+``dpotri`` instead of a ``dpotrs`` solve against the identity.
 """
 
 from __future__ import annotations
@@ -49,8 +70,9 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy import linalg, optimize
+from scipy.linalg import lapack
 
-from repro.core.kernels import Kernel, Matern52
+from repro.core.kernels import Kernel, Matern52, ard_grad_dot, train_sq_dists
 
 _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
@@ -141,16 +163,27 @@ def _run_hyperfit_tasks(
     return [_hyperfit_one(task) for task in tasks]
 
 
-def _chol_with_jitter(matrix: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Cholesky factor with the smallest jitter that succeeds."""
+def _chol_with_jitter(
+    matrix: np.ndarray, noise: Union[None, float, np.ndarray] = None
+) -> Tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``matrix + diag(noise)`` at the smallest jitter.
+
+    ``noise`` (a scalar or one entry per row) and then the jitter are added
+    to the diagonal of a Fortran-ordered copy, which LAPACK factors in
+    place — one copy per try and no ``np.eye``.  Bit-identical to
+    ``linalg.cholesky(matrix + noise * I + jitter * I, lower=True)``: the
+    same values, in the same column-major layout, reach ``dpotrf``.
+    ``matrix`` itself is left untouched.
+    """
     for jitter in _JITTERS:
-        try:
-            chol = linalg.cholesky(
-                matrix + jitter * np.eye(matrix.shape[0]), lower=True
-            )
+        work = np.array(matrix, order="F")
+        diag = work.ravel(order="F")[:: work.shape[0] + 1]
+        if noise is not None:
+            diag += noise
+        diag += jitter
+        chol, info = lapack.dpotrf(work, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
             return chol, jitter
-        except linalg.LinAlgError:
-            continue
     raise GPFitError("covariance matrix not positive definite at any jitter level")
 
 
@@ -295,18 +328,25 @@ class GaussianProcess:
     ) -> Union[float, Tuple[float, np.ndarray]]:
         """Negative LML at ``log_params``; with ``jac`` also its gradient.
 
-        Value and gradient share one Cholesky factorisation: the gradient
-        is ``-0.5 tr((aa^T - K^-1) dK/dtheta)`` per hyperparameter, with
-        ``dK`` supplied analytically by :meth:`Kernel.grad_log_params`.
+        One pass per evaluation: one scaled-distance GEMM
+        (:func:`train_sq_dists`), one ``sqrt``/``exp`` pass yielding both
+        the covariance and the lengthscale-gradient weight
+        (:meth:`Kernel.cov_and_weight`), and one LAPACK factorisation whose
+        factor serves the value and the whole gradient
+        ``-0.5 tr((aa^T - K^-1) dK/dtheta)``.
         """
         self._apply_log_params(log_params)
         n = self._x.shape[0]
-        cov = self.kernel(self._x, self._x) + self._noise_diag(n)
+        a, a_sq, sq = train_sq_dists(self._x, self.kernel.lengthscales)
+        if jac:
+            k, weight = self.kernel.cov_and_weight(sq)
+        else:
+            k = self.kernel.from_sq_dists(sq)
         try:
-            chol, _ = _chol_with_jitter(cov)
+            chol, _ = _chol_with_jitter(k, self._noise_on_diag())
         except GPFitError:
             return (1e12, np.zeros_like(log_params)) if jac else 1e12
-        alpha = linalg.cho_solve((chol, True), self._z)
+        alpha, _ = lapack.dpotrs(chol, self._z, lower=1)
         lml = (
             -0.5 * float(self._z @ alpha)
             - float(np.sum(np.log(np.diag(chol))))
@@ -316,16 +356,15 @@ class GaussianProcess:
             return (1e12, np.zeros_like(log_params)) if jac else 1e12
         if not jac:
             return -lml
-        # The gradient needs tr((aa^T - K^-1) dK) per hyperparameter.  The
-        # K^-1 factor comes from one cho_solve against the identity; the
-        # per-parameter traces collapse inside the kernel's closed-form
-        # contraction (grad_log_params_dot) — row sums plus one (n, d)
-        # GEMM — so no (p, n, n) derivative tensor is ever materialised.
-        k_inv = linalg.cho_solve((chol, True), np.eye(n))
+        # K^-1 is a dpotrs solve against the identity.  dpotri would be
+        # cheaper but rounds differently, so fitted hypers would move.  The
+        # Fortran-ordered identity is what LAPACK receives either way; it
+        # only spares f2py a copy.
+        k_inv, _ = lapack.dpotrs(chol, np.eye(n, order="F"), lower=1, overwrite_b=1)
         a_mat = np.outer(alpha, alpha) - k_inv
         grad = np.empty_like(log_params)
         num_kernel = self.kernel.num_params()
-        grad[:num_kernel] = 0.5 * self.kernel.grad_log_params_dot(self._x, a_mat)
+        grad[:num_kernel] = 0.5 * ard_grad_dot(a, a_sq, a_mat, k, weight)
         if self.fit_noise:
             if self._noise_scale is None:
                 # dK/d(log noise) = noise * I, so the trace term collapses.
@@ -381,20 +420,16 @@ class GaussianProcess:
                 best_params = params
         self._apply_log_params(best_params)
 
-    def _noise_diag(self, n: int) -> np.ndarray:
-        """The observation-noise diagonal as an (n, n) matrix.
-
-        The ``None`` branch reproduces the homoscedastic expression
-        verbatim so scale-free fits stay bit-identical.
-        """
+    def _noise_on_diag(self) -> Union[float, np.ndarray]:
+        """The observation noise added to the covariance diagonal."""
         if self._noise_scale is None:
-            return self.noise_variance * np.eye(n)
-        return np.diag(self.noise_variance * self._noise_scale)
+            return self.noise_variance
+        return self.noise_variance * self._noise_scale
 
     def _refresh_posterior(self) -> None:
-        n = self._x.shape[0]
-        cov = self.kernel(self._x, self._x) + self._noise_diag(n)
-        self._chol, self._jitter = _chol_with_jitter(cov)
+        self._chol, self._jitter = _chol_with_jitter(
+            self.kernel(self._x, self._x), self._noise_on_diag()
+        )
         self._finish_posterior()
 
     def _finish_posterior(self) -> None:

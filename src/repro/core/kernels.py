@@ -9,12 +9,25 @@ Hyperparameters are manipulated in log space, the standard parameterisation
 for positive scales, via :meth:`Kernel.get_log_params` /
 :meth:`Kernel.set_log_params`.  Every kernel also exposes the analytic
 derivative of its covariance matrix with respect to that log-parameter
-vector (:meth:`Kernel.grad_log_params`), which is what lets the GP compute
-log-marginal-likelihood gradients from a single Cholesky factorisation
-instead of scipy's finite-difference fallback.
+vector (:meth:`Kernel.grad_log_params`, the ``(p, n, n)`` tensor kept as
+the test oracle).
+
+The GP's marginal-likelihood fit never builds that tensor.  For the
+stationary ARD family every lengthscale derivative is one shared weight
+matrix times the per-dimension scaled squared distances, so one pass over
+the training set serves the value and the whole gradient:
+:func:`train_sq_dists` makes the one scaled-distance GEMM,
+:meth:`Kernel.cov_and_weight` the one ``sqrt``/``exp`` pass yielding the
+covariance and that weight, and :func:`ard_grad_dot` contracts them with
+row sums and one ``(n, d)`` GEMM.  Results are bit-identical to computing
+the covariance and the gradient separately, provided the GEMM keeps a
+separate right operand: ``a @ a.T`` would go to ``syrk`` and round
+differently.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
@@ -30,6 +43,54 @@ def _pairwise_sq_dists(x1: np.ndarray, x2: np.ndarray, lengthscales: np.ndarray)
     bb = np.sum(b * b, axis=1)[None, :]
     sq = aa + bb - 2.0 * (a @ b.T)
     return np.maximum(sq, 0.0)
+
+
+def train_sq_dists(
+    x: np.ndarray, lengthscales: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a, a * a, sq)`` of a training set against itself, in one pass.
+
+    ``a = x / lengthscales`` and ``sq`` are the scaled squared distances,
+    bit-identical to ``_pairwise_sq_dists(x, x, lengthscales)``: the right
+    GEMM operand is a second ``x / lengthscales`` array on purpose, since
+    numpy routes ``a @ a.T`` to ``syrk``, which rounds differently.  ``a``
+    and ``a * a`` are returned for :func:`ard_grad_dot`.
+    """
+    a = x / lengthscales
+    b = x / lengthscales
+    a_sq = a * a
+    norms = np.sum(a_sq, axis=1)
+    sq = norms[:, None] + norms[None, :] - 2.0 * (a @ b.T)
+    np.maximum(sq, 0.0, out=sq)
+    return a, a_sq, sq
+
+
+def ard_grad_dot(
+    a: np.ndarray, a_sq: np.ndarray, m: np.ndarray, k: np.ndarray, weight: np.ndarray
+) -> np.ndarray:
+    """``sum_ij m_ij * dK_ij/d(log theta_p)`` for every kernel hyperparameter.
+
+    The contraction the marginal-likelihood gradient needs: with
+    ``m = alpha alpha^T - K^-1`` the LML gradient is ``0.5 *
+    ard_grad_dot(...)``.  ``a``/``a_sq`` come from :func:`train_sq_dists`
+    and ``k``/``weight`` from :meth:`Kernel.cov_and_weight`.  Entry 0 (log
+    variance, whose derivative is ``K`` itself) is ``sum(m ∘ K)``; since
+    ``dK/d(log l_d) = W ∘ sq_d``, the lengthscale block collapses to row
+    sums and one ``(n, d)`` GEMM, never materialising the ``(p, n, n)``
+    tensor:
+
+    ``sum_ij (m W)_ij (a_id - a_jd)^2 = sum_i s_i a_id^2 +
+    sum_j c_j a_jd^2 - 2 a_d^T (m W) a_d``
+
+    with ``s``/``c`` the row/column sums of ``m W``.
+    """
+    w = m * weight
+    out = np.empty(1 + a.shape[1])
+    out[0] = float(np.sum(m * k))
+    row = w.sum(axis=1)
+    col = w.sum(axis=0)
+    out[1:] = row @ a_sq + col @ a_sq - 2.0 * np.einsum("id,id->d", a, w @ a)
+    return out
 
 
 def _per_dim_sq_dists(x: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
@@ -75,47 +136,16 @@ class Kernel:
         """
         raise NotImplementedError
 
-    def grad_log_params_dot(self, x: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """``sum_ij m_ij * dK_ij/d(log theta_p)`` for every hyperparameter.
+    def cov_and_weight(self, sq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Covariance ``K`` and lengthscale-gradient weight ``W`` from ``sq``.
 
-        The contraction the marginal-likelihood gradient actually needs:
-        with ``m = alpha alpha^T - K^-1`` the LML gradient is ``0.5 *
-        grad_log_params_dot(x, m)``.  The base implementation contracts
-        the full :meth:`grad_log_params` tensor; ARD kernels override it
-        with a closed form that never materialises the ``(p, n, n)``
-        tensor — for the RBF/Matérn family every lengthscale derivative is
-        a shared weight matrix ``W`` Hadamard the per-dimension scaled
-        squared distances, so the whole lengthscale block collapses to row
-        sums and one ``(n, d)`` GEMM:
-
-        ``sum_ij (m W)_ij (a_id - a_jd)^2 = sum_i s_i a_id^2 +
-        sum_j c_j a_jd^2 - 2 a_d^T (m W) a_d``
-
-        with ``a = x / lengthscales``, ``s``/``c`` the row/column sums of
-        ``m W``.
+        ``sq`` holds the scaled squared distances.  For the stationary ARD
+        family every lengthscale derivative shares one weight matrix:
+        ``dK/d(log l_d) = W ∘ sq_d``, with ``sq_d`` the per-dimension
+        scaled squared distances, so one ``sqrt``/``exp`` pass serves both
+        the covariance and the whole gradient (see :func:`ard_grad_dot`).
         """
-        return np.einsum("ij,pij->p", m, self.grad_log_params(x))
-
-    def _ard_grad_dot(
-        self, x: np.ndarray, m: np.ndarray, k_matrix: np.ndarray, weight: np.ndarray
-    ) -> np.ndarray:
-        """The shared RBF/Matérn contraction: ``dK/d(log l_d) = weight ∘ sq_d``.
-
-        ``k_matrix`` is the covariance itself (the ``log variance``
-        derivative); ``weight`` the shared lengthscale-derivative weight
-        matrix.  O(n^2 d) via one GEMM, no ``(p, n, n)`` tensor.
-        """
-        a = np.atleast_2d(np.asarray(x, dtype=float)) / self.lengthscales
-        w = m * weight
-        out = np.empty(self.num_params())
-        out[0] = float(np.sum(m * k_matrix))
-        row = w.sum(axis=1)
-        col = w.sum(axis=0)
-        sq = a * a
-        out[1:] = (
-            row @ sq + col @ sq - 2.0 * np.einsum("id,id->d", a, w @ a)
-        )
-        return out
+        raise NotImplementedError
 
     # -- hyperparameter vector (log space) -------------------------------
 
@@ -170,12 +200,10 @@ class RBF(Kernel):
         grads[1:] = k[None, :, :] * sq_d
         return grads
 
-    def grad_log_params_dot(self, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    def cov_and_weight(self, sq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # dK/d(log l_d) = K ∘ sq_d: the shared weight matrix is K itself.
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        sq = _pairwise_sq_dists(x, x, self.lengthscales)
-        k = self.variance * np.exp(-0.5 * sq)
-        return self._ard_grad_dot(x, m, k, k)
+        k = self.from_sq_dists(sq)
+        return k, k
 
 
 class Matern52(Kernel):
@@ -191,16 +219,24 @@ class Matern52(Kernel):
         return self.from_sq_dists(sq)
 
     def from_sq_dists(self, sq: np.ndarray) -> np.ndarray:
-        """Covariance from precomputed scaled squared distances.
+        """Covariance from precomputed scaled squared distances."""
+        return self._cov(*self._radius_decay(sq))
 
-        In-place ufunc forms of ``variance * (1 + r + r^2/3) * exp(-r)``
-        with the same operation order (bit-identical results, fewer
-        temporaries on 10^4-element candidate blocks).
-        """
+    @staticmethod
+    def _radius_decay(sq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``r = sqrt(5 sq)`` and ``exp(-r)``."""
         r = np.multiply(sq, 5.0)
         np.sqrt(r, out=r)
         decay = np.negative(r)
         np.exp(decay, out=decay)
+        return r, decay
+
+    def _cov(self, r: np.ndarray, decay: np.ndarray) -> np.ndarray:
+        """``variance * (1 + r + r^2/3) * exp(-r)``, overwriting ``r``.
+
+        In-place ufunc forms with the same operation order (bit-identical
+        results, fewer temporaries on 10^4-element candidate blocks).
+        """
         poly = np.multiply(r, r)
         np.divide(poly, 3.0, out=poly)
         r += 1.0
@@ -222,16 +258,13 @@ class Matern52(Kernel):
         grads[1:] = ((5.0 / 3.0) * self.variance * (1.0 + r) * decay)[None] * sq_d
         return grads
 
-    def grad_log_params_dot(self, x: np.ndarray, m: np.ndarray) -> np.ndarray:
-        # dK/d(log l_d) = (5v/3)(1 + r) e^{-r} ∘ sq_d: one shared weight
-        # matrix for every lengthscale.
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        sq = _pairwise_sq_dists(x, x, self.lengthscales)
-        r = np.sqrt(5.0 * sq)
-        decay = np.exp(-r)
-        k = self.variance * (1.0 + r + r * r / 3.0) * decay
-        weight = (5.0 / 3.0) * self.variance * (1.0 + r) * decay
-        return self._ard_grad_dot(x, m, k, weight)
+    def cov_and_weight(self, sq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # dK/d(log l_d) = (5v/3)(1 + r) e^{-r} ∘ sq_d; K and W share r and
+        # e^{-r}, and W keeps the operation order of (5v/3) * (1 + r) * e^{-r}.
+        r, decay = self._radius_decay(sq)
+        weight = np.multiply(r + 1.0, (5.0 / 3.0) * self.variance)
+        weight *= decay
+        return self._cov(r, decay), weight
 
 
 KERNELS = {"rbf": RBF, "matern52": Matern52}

@@ -5,15 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _gp_reference as reference
+from repro.cluster import homogeneous
+from repro.configspace import ml_config_space
 from repro.core import (
     GPFitError,
     GaussianProcess,
     Matern52,
+    MLConfigTuner,
     RBF,
     SparseGaussianProcess,
     SurrogateFactory,
+    TuningBudget,
+    TuningSession,
     make_kernel,
 )
+from repro.core.gp import _chol_with_jitter
+from repro.core.kernels import ard_grad_dot, train_sq_dists
+from repro.harness.chaos import result_fingerprint
+from repro.mlsim import TrainingEnvironment
+from repro.workloads import get_workload
 
 
 class TestKernels:
@@ -485,15 +496,19 @@ class TestAnalyticGradients:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
     def test_grad_contraction_matches_tensor_einsum(self, kernel_cls, seed):
-        """The GEMM-based contraction equals the (p, n, n)-tensor einsum."""
+        """The fused one-pass contraction equals the (p, n, n)-tensor einsum."""
         rng = np.random.default_rng(seed)
         kernel = kernel_cls(4)
         kernel.set_log_params(0.4 * rng.standard_normal(5))
         x = rng.random((12, 4))
         m = rng.standard_normal((12, 12))  # deliberately non-symmetric
-        reference = np.einsum("ij,pij->p", m, kernel.grad_log_params(x))
-        fast = kernel.grad_log_params_dot(x, m)
-        assert np.allclose(fast, reference, rtol=1e-9, atol=1e-11)
+        expected = np.einsum("ij,pij->p", m, kernel.grad_log_params(x))
+        a, a_sq, sq = train_sq_dists(x, kernel.lengthscales)
+        k, weight = kernel.cov_and_weight(sq)
+        fast = ard_grad_dot(a, a_sq, m, k, weight)
+        assert np.allclose(fast, expected, rtol=1e-9, atol=1e-11)
+        # The fused pass's K is bit-identical to the prediction path's.
+        assert np.array_equal(k, kernel(x, x))
 
     def test_analytic_and_fd_fits_agree(self):
         rng = np.random.default_rng(1)
@@ -505,3 +520,135 @@ class TestAnalyticGradients:
         assert analytic.log_marginal_likelihood() == pytest.approx(
             fd.log_marginal_likelihood(), abs=0.5
         )
+
+
+def _reference_gp(kernel_name, x, z, fit_noise, noise_variance, noise_scale):
+    gp = GaussianProcess(
+        kernel=make_kernel(kernel_name, x.shape[1]),
+        noise_variance=noise_variance,
+        fit_noise=fit_noise,
+        restarts=0,
+    )
+    gp._x, gp._z, gp._noise_scale = x, z, noise_scale
+    return gp
+
+
+def _assert_matches_reference(gp, log_params):
+    """Value and gradient of both evaluations are exactly (==) equal."""
+    fast = gp._neg_log_marginal(log_params.copy())
+    slow = reference.neg_log_marginal(gp, log_params.copy())
+    assert fast == slow
+    fast_value, fast_grad = gp._neg_log_marginal(log_params.copy(), jac=True)
+    slow_value, slow_grad = reference.neg_log_marginal(gp, log_params.copy(), jac=True)
+    assert fast_value == slow_value
+    assert np.array_equal(fast_grad, slow_grad)
+
+
+class TestOnePassBitIdentity:
+    """The one-pass LML evaluation equals the frozen two-pass reference."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_value_and_gradient_equal_reference(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=80), label="n")
+        dim = data.draw(st.integers(min_value=1, max_value=14), label="dim")
+        kernel_name = data.draw(st.sampled_from(["rbf", "matern52"]), label="kernel")
+        fit_noise = data.draw(st.booleans(), label="fit_noise")
+        scaled = data.draw(st.booleans(), label="noise_scale")
+        layout = data.draw(
+            st.sampled_from(["uniform", "duplicates", "near_singular"]), label="layout"
+        )
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        x = rng.random((n, dim))
+        if layout == "duplicates":
+            x = x[rng.integers(0, max(1, n // 3), size=n)]
+        elif layout == "near_singular":
+            # Every row within 1e-9 of one point: the covariance is
+            # numerically rank one, so any negative shift makes it indefinite.
+            x = x[:1] + 1e-9 * rng.random((n, dim))
+        # Without a fitted noise term the fixed noise can be tiny, or even a
+        # negative diagonal shift: inside the parameter bounds rounding
+        # never beats the first jitter rung at these sizes, so the shift is
+        # what makes near-singular covariances climb the jitter ladder (or
+        # fall off its end, the 1e12 branch).
+        noise_variance = float(10.0 ** rng.uniform(-14.0, -1.0))
+        shift = data.draw(
+            st.sampled_from([None, 1e-9, 1e-7, 1e-5, 1e-3, 10.0]), label="shift"
+        )
+        noise_scale = rng.uniform(0.2, 5.0, size=n) if scaled else None
+        gp = _reference_gp(
+            kernel_name, x, rng.standard_normal(n), fit_noise, noise_variance, noise_scale
+        )
+        if shift is not None and not fit_noise:
+            gp.noise_variance = -shift
+        bounds = gp.kernel.param_bounds()
+        if fit_noise:
+            bounds = bounds + [(np.log(1e-6), np.log(1.0))]
+        fractions = data.draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1.0),
+                min_size=len(bounds),
+                max_size=len(bounds),
+            ),
+            label="log_params",
+        )
+        log_params = np.array(
+            [lo + (hi - lo) * f for (lo, hi), f in zip(bounds, fractions)]
+        )
+        _assert_matches_reference(gp, log_params)
+
+    @pytest.mark.parametrize("kernel_name", ["rbf", "matern52"])
+    @pytest.mark.parametrize(
+        "shift, rung", [(1e-9, 1e-8), (1e-7, 1e-6), (1e-5, 1e-4), (1e-3, 1e-2), (1.0, None)]
+    )
+    def test_jitter_escalation_matches_reference(self, kernel_name, shift, rung):
+        """Near-duplicate rows shifted indefinite: the ladder climbs, and
+        value and gradient still agree (also when every rung fails)."""
+        rng = np.random.default_rng(7)
+        x = rng.random((1, 3)) + 1e-9 * rng.random((20, 3))
+        gp = _reference_gp(
+            kernel_name, x, rng.standard_normal(20), False, 1e-2, rng.uniform(1.0, 2.0, 20)
+        )
+        gp.noise_variance = -shift / 2.0
+        log_params = gp._log_params()
+        if rung is None:
+            with pytest.raises(GPFitError):
+                _chol_with_jitter(gp.kernel(x, x), gp._noise_on_diag())
+        else:
+            _, jitter = _chol_with_jitter(gp.kernel(x, x), gp._noise_on_diag())
+            assert jitter == rung
+        _assert_matches_reference(gp, log_params)
+
+    def test_chol_with_jitter_matches_reference_ladder(self):
+        """The in-place LAPACK ladder equals scipy on ``matrix + noise I``."""
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((6, 2))
+        matrix = base @ base.T  # rank two: singular
+        noise = rng.uniform(-1e-5, 1e-5, 6)
+        chol, jitter = _chol_with_jitter(matrix, noise)
+        ref_chol, ref_jitter = reference.chol_with_jitter(matrix + np.diag(noise))
+        assert jitter == ref_jitter > 1e-10
+        assert np.array_equal(chol, ref_chol)
+        assert np.array_equal(matrix, base @ base.T)  # input left untouched
+
+    def test_session_fingerprint_unchanged_under_reference(self, monkeypatch):
+        """A 30-trial default tuner session is bit-identical with the oracle."""
+
+        def run():
+            env = TrainingEnvironment(
+                get_workload("resnet50-imagenet"), homogeneous(8), seed=0
+            )
+            return TuningSession(MLConfigTuner()).run(
+                env, ml_config_space(8), TuningBudget(max_trials=30), seed=2
+            )
+
+        fast = result_fingerprint(run())
+        monkeypatch.setattr(
+            GaussianProcess,
+            "_neg_log_marginal",
+            lambda self, log_params, jac=False: reference.neg_log_marginal(
+                self, log_params, jac
+            ),
+        )
+        assert result_fingerprint(run()) == fast
