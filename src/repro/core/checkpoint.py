@@ -217,14 +217,19 @@ def _read_wal_records(wal_path: str):
     return records, offset, torn
 
 
-def _atomic_write_json(path: str, payload: dict, fsync: bool = True) -> None:
-    """Write one JSON document atomically (mkstemp + os.replace)."""
+def _atomic_write_text(path: str, text: str, fsync: bool = True) -> None:
+    """Write one encoded JSON document atomically (mkstemp + os.replace).
+
+    Callers encode with ``json.dumps``, not ``json.dump``: the latter
+    streams through the pure-Python encoder, the former runs the C one
+    and produces the same text several times faster.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".checkpoint-tmp-")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+            handle.write(text)
             handle.flush()
             if fsync:
                 os.fsync(handle.fileno())
@@ -545,30 +550,32 @@ class CheckpointJournal:
         status: str = "running",
     ) -> None:
         """Atomically rewrite the snapshot document."""
-        state = None
+        # An unserialisable audit payload must never take the checkpoint
+        # down with it — the snapshot is forensics, the WAL is the restore
+        # path.  The document is encoded once; only when that fails is it
+        # encoded again with the state replaced by an error marker (a
+        # failure elsewhere in the document raises from that second try).
+        bad_state = {"error": "snapshot_state() returned non-JSON state"}
         try:
             state = strategy.snapshot_state()
-            if state is not None:
-                json.dumps(state)
         except (TypeError, ValueError):
-            # An unserialisable audit payload must never take the
-            # checkpoint down with it — the snapshot is forensics, the
-            # WAL is the restore path.
-            state = {"error": "snapshot_state() returned non-JSON state"}
-        _atomic_write_json(
-            self.config.path,
-            {
-                "version": CHECKPOINT_VERSION,
-                "meta": self.meta,
-                "status": status,
-                "trials": len(history),
-                "probes": self._probe_count,
-                "history": history.to_payload(),
-                "env_counters": env_counters,
-                "strategy_state": state,
-            },
-            fsync=self.config.fsync,
-        )
+            state = bad_state
+        document = {
+            "version": CHECKPOINT_VERSION,
+            "meta": self.meta,
+            "status": status,
+            "trials": len(history),
+            "probes": self._probe_count,
+            "history": history.to_payload(),
+            "env_counters": env_counters,
+            "strategy_state": state,
+        }
+        try:
+            text = json.dumps(document)
+        except (TypeError, ValueError):
+            document["strategy_state"] = bad_state
+            text = json.dumps(document)
+        _atomic_write_text(self.config.path, text, fsync=self.config.fsync)
 
     def recorder(self, session) -> "_CheckpointRecorder":
         """The session callback that writes trial records and snapshots."""

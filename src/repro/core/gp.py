@@ -7,7 +7,11 @@ Exact GP regression with a learned homoscedastic noise term:
   maximising the log marginal likelihood with multi-restart L-BFGS-B,
   using analytic gradients (one Cholesky per step serves both the value
   and the full gradient) instead of scipy's finite-difference fallback,
-  which costs an extra O(n^3) factorisation per hyperparameter per step;
+  which costs an extra O(n^3) factorisation per hyperparameter per step.
+  The restart count is a constructor argument; the BO proposer's
+  surrogates get theirs from :meth:`SurrogateFactory.build`, which the
+  proposer's surrogate cache calls with ``restarts=0`` (one cold start)
+  on most refits — see :mod:`repro.core.bo`;
 - targets standardised internally so kernel priors are scale-free.
 
 This is the surrogate model inside the BO tuner and the OtterTune-style
@@ -75,6 +79,12 @@ from scipy.linalg import lapack
 from repro.core.kernels import Kernel, Matern52, ard_grad_dot, train_sq_dists
 
 _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+
+#: L-BFGS-B bounds on the log noise variance, and the clip applied when a
+#: log-parameter vector is installed.  One pair for both: a clip tighter
+#: than the bound would leave a band where the noise is constant but the
+#: reported gradient is not zero.
+_LOG_NOISE_BOUNDS = (-12.0, 0.0)
 
 #: An extension's Schur pivots must clear this fraction of the covariance
 #: diagonal scale, or the incremental path is declared degenerate and the
@@ -321,7 +331,8 @@ class GaussianProcess:
         k = self.kernel.num_params()
         self.kernel.set_log_params(log_params[:k])
         if self.fit_noise:
-            self.noise_variance = float(np.exp(np.clip(log_params[k], -12.0, 2.0)))
+            log_noise = np.clip(log_params[k], *_LOG_NOISE_BOUNDS)
+            self.noise_variance = float(np.exp(log_noise))
 
     def _neg_log_marginal(
         self, log_params: np.ndarray, jac: bool = False
@@ -388,7 +399,7 @@ class GaussianProcess:
     def _optimize_hyperparameters(self) -> None:
         bounds = self.kernel.param_bounds()
         if self.fit_noise:
-            bounds = bounds + [(np.log(1e-6), np.log(1.0))]
+            bounds = bounds + [_LOG_NOISE_BOUNDS]
         rng = np.random.default_rng(self.seed)
         starts = [self._log_params()]
         for _ in range(self.restarts):
@@ -1152,11 +1163,17 @@ class SurrogateFactory:
         inner = getattr(gp, "inner", gp)
         return "sparse" if isinstance(inner, SparseGaussianProcess) else "exact"
 
-    def build(self, n: int):
-        """A fresh unfitted surrogate of the tier ``n`` rows call for."""
+    def build(self, n: int, restarts: int = 3):
+        """A fresh unfitted surrogate of the tier ``n`` rows call for.
+
+        ``restarts`` is the number of random L-BFGS-B starts its
+        hyperparameter fit adds to the start from the fresh kernel's
+        defaults; ``0`` makes the fit a single cold start.
+        """
         if self.tier_for(n) == "sparse":
             gp = SparseGaussianProcess(
                 kernel=self.kernel_factory(),
+                restarts=restarts,
                 seed=self.seed,
                 fit_workers=self.fit_workers,
                 max_inducing=self.max_inducing,
@@ -1164,6 +1181,7 @@ class SurrogateFactory:
         else:
             gp = GaussianProcess(
                 kernel=self.kernel_factory(),
+                restarts=restarts,
                 seed=self.seed,
                 fit_workers=self.fit_workers,
             )

@@ -431,3 +431,101 @@ class TestTierSwitchover:
             BayesianProposer(space, sparse_threshold=2)
         with pytest.raises(ValueError):
             BayesianProposer(space, max_inducing=2)
+
+
+class TestRestartSchedule:
+    """Full multi-start hyperfits only at a cache's first fit and on doubling."""
+
+    SEED = 11
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """(surrogate, training rows, hyperfit tasks) for every hyperfit.
+
+        Spies on the task runner of the GP module; the surrogate cache's
+        ``update`` attributes each fit to the objective (factory seed =
+        proposer seed) or cost (seed + 1) surrogate.
+        """
+        from repro.core import bo as bo_module
+        from repro.core import gp as gp_module
+
+        recorded, pending = [], []
+        run_tasks = gp_module._run_hyperfit_tasks
+        update = bo_module._SurrogateCache.update
+
+        def spy_run(tasks, fit_workers):
+            pending.append(len(tasks))
+            return run_tasks(tasks, fit_workers)
+
+        def spy_update(cache, x, y, factory, optimize, **kwargs):
+            pending.clear()
+            result = update(cache, x, y, factory, optimize, **kwargs)
+            assert len(pending) <= 1
+            if pending:
+                label = "objective" if factory.seed == self.SEED else "cost"
+                recorded.append((label, y.shape[0], pending[0]))
+            return result
+
+        monkeypatch.setattr(gp_module, "_run_hyperfit_tasks", spy_run)
+        monkeypatch.setattr(bo_module._SurrogateCache, "update", spy_update)
+        return recorded
+
+    @staticmethod
+    def _run(proposer, trials, seed=0, history=None):
+        rng = np.random.default_rng(seed)
+        history = history if history is not None else TrialHistory()
+        proposals = []
+        while len(history) < trials:
+            config = proposer.propose(history, rng)
+            proposals.append(config)
+            cost = 10.0 + 50.0 * config["x"]
+            record(history, config, toy_objective(config), cost=cost)
+        return history, proposals
+
+    @classmethod
+    def _proposer(cls, **kwargs):
+        return BayesianProposer(
+            toy_space(), acquisition="eipc", n_initial=8, n_candidates=64,
+            seed=cls.SEED, **kwargs,
+        )
+
+    def test_multi_start_at_first_fit_and_each_doubling(self, fits):
+        self._run(self._proposer(), 70)
+        for label in ("objective", "cost"):
+            sizes = [(n, tasks) for name, n, tasks in fits if name == label]
+            assert sizes[0] == (8, 4)
+            full_at = None
+            for n, tasks in sizes:
+                due = full_at is None or n >= 2 * full_at
+                assert tasks == (4 if due else 1), (label, n, tasks)
+                if due:
+                    full_at = n
+            full = [n for n, tasks in sizes if tasks == 4]
+            # Refits every 3 trials from n = 8: 17 is the first refit at
+            # or past 16, 35 the first past 34 (and 71 would be next).
+            assert full == [8, 17, 35]
+            assert len(sizes) - len(full) >= 15
+
+    def test_retuning_restarts_the_schedule(self, fits):
+        proposer = self._proposer()
+        history, _ = self._run(proposer, 30)
+        fits.clear()
+        proposer.apply_retuning(before_index=20, discount=0.5)
+        self._run(proposer, 31, history=history)
+        assert [(label, tasks) for label, _, tasks in fits] == [
+            ("objective", 4),
+            ("cost", 4),
+        ]
+
+    def test_no_cache_baseline_always_multi_starts(self, fits):
+        self._run(self._proposer(reuse_surrogate=False), 24)
+        cost_fits = [tasks for label, _, tasks in fits if label == "cost"]
+        assert len(cost_fits) == 24 - 8
+        assert set(cost_fits) == {4}
+        assert {tasks for label, _, tasks in fits if label == "objective"} == {4}
+
+    def test_fit_workers_reproduce_serial_proposals(self):
+        _, serial = self._run(self._proposer(fit_workers=1), 30)
+        _, pooled = self._run(self._proposer(fit_workers=2), 30)
+        assert pooled == serial
+

@@ -403,3 +403,29 @@ def test_checkpoint_config_validation():
     ckpt = CheckpointConfig("x.ckpt")
     assert ckpt.wal_path == "x.ckpt.wal"
     assert ckpt.quarantine_path == "x.ckpt.wal.quarantine"
+
+
+def test_snapshot_bytes_are_the_c_encoder_output(tmp_path):
+    ckpt = CheckpointConfig(str(tmp_path / "s.ckpt"))
+    TuningSession(MLConfigTuner(n_initial=4)).run(
+        make_env(), space(), TuningBudget(max_trials=6), seed=2, checkpoint=ckpt
+    )
+    with open(ckpt.path, "rb") as handle:
+        raw = handle.read()
+    assert raw == json.dumps(json.loads(raw)).encode("utf-8")
+
+
+def test_unserialisable_strategy_state_is_replaced_by_a_marker(tmp_path):
+    class Opaque(RandomSearch):
+        def snapshot_state(self):
+            return {"handle": object()}
+
+    ckpt = CheckpointConfig(str(tmp_path / "s.ckpt"))
+    TuningSession(Opaque()).run(
+        make_env(), space(), TuningBudget(max_trials=3), seed=2, checkpoint=ckpt
+    )
+    loaded = Checkpoint.load(ckpt.path)
+    assert loaded.strategy_state == {
+        "error": "snapshot_state() returned non-JSON state"
+    }
+    assert len(loaded.history) == 3

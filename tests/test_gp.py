@@ -484,6 +484,40 @@ class TestAnalyticGradients:
             fd = (gp._neg_log_marginal(plus) - gp._neg_log_marginal(minus)) / (2 * eps)
             assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
+    @pytest.mark.parametrize("kernel_name", ["rbf", "matern52"])
+    def test_noise_gradient_matches_finite_differences_inside_bounds(
+        self, kernel_name, monkeypatch
+    ):
+        """Across the whole L-BFGS-B range of the log noise — down to its
+        lower bound, where the clip in ``_apply_log_params`` starts — the
+        analytic noise gradient agrees with central finite differences."""
+        from repro.core import gp as gp_module
+
+        rng = np.random.default_rng(3)
+        x = rng.random((15, 3))
+        y = np.sin(3 * x[:, 0]) + 0.5 * x[:, 1] + 0.1 * rng.standard_normal(15)
+        captured = []
+        run_tasks = gp_module._run_hyperfit_tasks
+
+        def spy(tasks, fit_workers):
+            captured.extend(tasks)
+            return run_tasks(tasks, fit_workers)
+
+        monkeypatch.setattr(gp_module, "_run_hyperfit_tasks", spy)
+        gp = GaussianProcess(kernel=make_kernel(kernel_name, 3), restarts=0)
+        gp.fit(x, y)
+        low, high = captured[0][6][-1]  # the optimiser's log-noise bounds
+        params = gp._log_params()
+        eps = 1e-6
+        for log_noise in np.linspace(low + 10 * eps, high - 10 * eps, 9):
+            params[-1] = log_noise
+            _, grad = gp._neg_log_marginal(params.copy(), jac=True)
+            plus, minus = params.copy(), params.copy()
+            plus[-1] += eps
+            minus[-1] -= eps
+            fd = (gp._neg_log_marginal(plus) - gp._neg_log_marginal(minus)) / (2 * eps)
+            assert grad[-1] == pytest.approx(fd, rel=1e-4, abs=1e-6), log_noise
+
     def test_grad_log_params_shape(self):
         x = np.random.default_rng(0).random((7, 4))
         for kernel_cls in (RBF, Matern52):
