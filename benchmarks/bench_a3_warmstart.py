@@ -3,7 +3,7 @@
 import numpy as np
 
 from conftest import emit
-from repro.baselines import WorkloadRepository
+from repro.core.transfer import WorkloadRepository
 from repro.harness.experiments import exp_a3_warmstart
 
 

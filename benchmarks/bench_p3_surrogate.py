@@ -8,13 +8,18 @@ modes:
   cached Cholesky factors are extended on append
   (:meth:`repro.core.gp.GaussianProcess.extend`), hyperparameter refits on
   the real-trial cadence with analytic LML gradients;
-- ``rebuild`` — the no-cache baseline
-  (``BayesianProposer(reuse_surrogate=False)``): every proposal refits the
-  objective surrogate from scratch and the cost surrogate with a full
+- ``rebuild`` — the no-cache baseline (``RebuildProposer`` in
+  ``benchmarks/_reference.py``): every proposal refits the objective
+  surrogate from scratch and the cost surrogate with a full
   hyperparameter optimisation.  This arm still benefits from analytic LML
   gradients (see the ``hyperfit`` section for that axis in isolation), so
   the propose/batch speedups are *conservative* relative to the true
   finite-difference pre-change code.
+
+The ``hyperfit`` section times one multi-start hyperparameter fit with
+analytic gradients against ``FiniteDifferenceGP`` (also in
+``benchmarks/_reference.py``), which lets L-BFGS-B difference the
+marginal likelihood itself.
 
 The ``large`` section measures the sparse surrogate tier at histories
 where the exact tier stops being interactive (n in {1024, 4096}): both
@@ -50,6 +55,7 @@ except ImportError:  # standalone `python benchmarks/bench_p3_surrogate.py`
     )
 
 import numpy as np
+from _reference import FiniteDifferenceGP, RebuildProposer
 
 from repro.configspace import ml_config_space
 from repro.core import TrialHistory
@@ -83,12 +89,12 @@ def _history(space, n, seed=0):
 
 
 def _proposer(space, mode, seed=0):
-    return BayesianProposer(
+    proposer_cls = BayesianProposer if mode == "incremental" else RebuildProposer
+    return proposer_cls(
         space,
         acquisition="eipc",  # the tuner's default: exercises the cost GP too
         n_initial=8,
         n_candidates=512,
-        reuse_surrogate=(mode == "incremental"),
         seed=seed,
     )
 
@@ -159,7 +165,6 @@ def time_large_propose(space, n, sparse, repeats, seed=0, warm=64):
         acquisition="eipc",
         n_initial=8,
         n_candidates=512,
-        reuse_surrogate=True,
         refit_every=10**9,
         sparse_threshold=(512 if sparse else None),
         max_inducing=256,
@@ -185,13 +190,10 @@ def time_hyperfit(n, analytic, repeats, seed=0, dim=8):
     rng = np.random.default_rng(seed)
     x = rng.random((n, dim))
     y = np.sin(3.0 * x[:, 0]) + x[:, 1] ** 2 + 0.1 * rng.standard_normal(n)
+    gp_cls = GaussianProcess if analytic else FiniteDifferenceGP
     samples = []
     for _ in range(repeats):
-        gp = GaussianProcess(
-            kernel=make_kernel("matern52", dim),
-            restarts=2,
-            analytic_gradients=analytic,
-        )
+        gp = gp_cls(kernel=make_kernel("matern52", dim), restarts=2)
         start = time.perf_counter()
         gp.fit(x, y)
         samples.append((time.perf_counter() - start) * 1e3)

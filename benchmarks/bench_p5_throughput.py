@@ -4,8 +4,9 @@ Four axes, one per layer this change touches:
 
 - ``throughput`` — steady-state BO proposal latency (and candidates/sec at
   the tuner's default 512-candidate set) with the vectorized encoded
-  end-to-end candidate pipeline vs the ``vectorized_candidates=False``
-  scalar baseline, at history sizes n in {16, 64, 256}.  Both arms share
+  end-to-end candidate pipeline vs the scalar per-config baseline
+  (``ScalarCandidateProposer`` in ``benchmarks/_reference.py``), at
+  history sizes n in {16, 64, 256}.  Both arms share
   every surrogate-level optimisation, so the speedup isolates the
   candidate pipeline itself and is hardware-independent (both sides run on
   the same machine in the same process).
@@ -45,6 +46,7 @@ except ImportError:  # standalone `python benchmarks/bench_p5_throughput.py`
     )
 
 import numpy as np
+from _reference import ScalarCandidateProposer
 
 from repro.configspace import ml_config_space
 from repro.core import TrialHistory, TuningBudget
@@ -84,12 +86,12 @@ def time_propose(space, n, vectorized, repeats, seed=0):
     ``hyperfit`` axis).
     """
     history = _history(space, n, seed=seed)
-    proposer = BayesianProposer(
+    proposer_cls = BayesianProposer if vectorized else ScalarCandidateProposer
+    proposer = proposer_cls(
         space,
         acquisition="eipc",
         n_candidates=N_CANDIDATES,
         refit_every=10**9,
-        vectorized_candidates=vectorized,
         seed=seed,
     )
     rng = np.random.default_rng(seed + 1)

@@ -6,7 +6,8 @@ Two claims, one payload:
   default budgets (3000 random samples + the coarse grid + refinement)
   through the vectorised batch path
   (:func:`~repro.mlsim.perf.estimate_columns` over encoded candidate
-  matrices) against the historical per-config scalar loop.  The two
+  matrices) against the historical per-config scalar loop
+  (``scalar_optimum`` in ``benchmarks/_reference.py``).  The two
   paths are bit-identical — same ``(config, value)`` at every seed; the
   benchmark re-asserts it — so the ``speedup`` column is pure engine
   win.  CI gates ``speedup >= 3.0`` (committed baseline is higher; the
@@ -43,6 +44,7 @@ except ImportError:  # standalone `python benchmarks/bench_p9_sweep.py`
     )
 
 import numpy as np
+from _reference import scalar_optimum
 
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space
@@ -70,19 +72,17 @@ def _optimum_cell():
     )
     space = ml_config_space(NODES)
 
-    def best_of(vectorized):
+    def best_of(search):
         best_s, outcome = float("inf"), None
         for _ in range(TIMING_REPEATS):
             clear_optimum_cache()
             start = time.perf_counter()
-            outcome = estimate_optimum(
-                env, space, samples=OPTIMUM_SAMPLES, vectorized=vectorized
-            )
+            outcome = search(env, space, samples=OPTIMUM_SAMPLES)
             best_s = min(best_s, time.perf_counter() - start)
         return best_s, outcome
 
-    scalar_s, scalar_result = best_of(vectorized=False)
-    batch_s, batch_result = best_of(vectorized=True)
+    scalar_s, scalar_result = best_of(scalar_optimum)
+    batch_s, batch_result = best_of(estimate_optimum)
     clear_optimum_cache()
     identical = scalar_result == batch_result
     assert identical, (

@@ -16,7 +16,7 @@ The warm-start ablation (A3) compares this against cold-start BO.
 
 The repository/landmark/mapping machinery itself lives in
 :mod:`repro.core.transfer` (the tuning service reuses it for persistent
-cross-session warm starts); this module is the strategy-shaped shim over
+cross-session warm starts); this module holds only the strategy built on
 it, behaviour-identical to when the code lived here.
 """
 
@@ -37,7 +37,7 @@ from repro.core.transfer import (
 from repro.core.strategy import SearchStrategy
 from repro.core.trial import TrialHistory
 
-__all__ = ["OtterTuneStyle", "WorkloadRepository"]
+__all__ = ["OtterTuneStyle"]
 
 
 class OtterTuneStyle(SearchStrategy):

@@ -51,10 +51,19 @@ sequence exactly — the regression anchor ``tests/test_fleet.py`` pins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+
+def _check_window(start_s: float, end_s: float) -> None:
+    """Require finite bounds with ``0 <= start_s < end_s``."""
+    if not (math.isfinite(start_s) and math.isfinite(end_s)):
+        raise ValueError(f"window bounds must be finite, got {start_s!r}-{end_s!r}")
+    if start_s < 0 or end_s <= start_s:
+        raise ValueError("need 0 <= start_s < end_s")
 
 
 @dataclass(frozen=True)
@@ -75,8 +84,7 @@ class OutageWindow:
     def __post_init__(self) -> None:
         if not self.shard:
             raise ValueError("outage shard name must be non-empty")
-        if self.start_s < 0 or self.end_s <= self.start_s:
-            raise ValueError("need 0 <= start_s < end_s")
+        _check_window(self.start_s, self.end_s)
 
 
 @dataclass(frozen=True)
@@ -96,8 +104,7 @@ class FailureSpike:
     def __post_init__(self) -> None:
         if not self.shard:
             raise ValueError("spike shard name must be non-empty")
-        if self.start_s < 0 or self.end_s <= self.start_s:
-            raise ValueError("need 0 <= start_s < end_s")
+        _check_window(self.start_s, self.end_s)
         if not 0.0 < self.rate < 1.0:
             raise ValueError("spike rate must be in (0, 1)")
 
@@ -226,7 +233,10 @@ def parse_outage_spec(text: str) -> List[OutageWindow]:
                 raise ValueError(
                     f"bad outage span {span!r} in {entry!r}: expected START-END"
                 ) from None
-            windows.append(OutageWindow(shard=shard, start_s=start_s, end_s=end_s))
+            try:
+                windows.append(OutageWindow(shard=shard, start_s=start_s, end_s=end_s))
+            except ValueError as exc:
+                raise ValueError(f"bad outage span {span!r} in {entry!r}: {exc}") from None
     if not windows:
         raise ValueError("outage spec describes no windows")
     return windows
@@ -278,8 +288,11 @@ class EnvironmentShard:
             raise ValueError("shard name must be non-empty")
         if capacity < 1:
             raise ValueError(f"shard {name!r}: capacity must be >= 1")
-        if cost_multiplier <= 0:
-            raise ValueError(f"shard {name!r}: cost_multiplier must be positive")
+        if not (math.isfinite(cost_multiplier) and cost_multiplier > 0):
+            raise ValueError(
+                f"shard {name!r}: cost_multiplier must be positive and finite, "
+                f"got {cost_multiplier!r}"
+            )
         self.name = name
         self.env = env
         self.capacity = capacity

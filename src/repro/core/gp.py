@@ -105,22 +105,21 @@ def _hyperfit_one(task: tuple) -> Tuple[float, np.ndarray]:
     pure function of its task tuple, and the best-of reduction happens in
     start order either way.
     """
-    kernel, x, z, noise_variance, fit_noise, analytic, bounds, start, scale = task
+    kernel, x, z, noise_variance, fit_noise, bounds, start, scale = task
     scratch = GaussianProcess(
         kernel=kernel,
         noise_variance=noise_variance,
         fit_noise=fit_noise,
         restarts=0,
-        analytic_gradients=analytic,
     )
     scratch._x = x
     scratch._z = z
     scratch._noise_scale = scale
     result = optimize.minimize(
-        lambda p: scratch._neg_log_marginal(p, jac=analytic),
+        lambda p: scratch._neg_log_marginal(p, jac=True),
         start,
         method="L-BFGS-B",
-        jac=analytic,
+        jac=True,
         bounds=bounds,
         options={"maxiter": 200},
     )
@@ -210,10 +209,6 @@ class GaussianProcess:
         refined by the marginal-likelihood fit unless ``fit_noise=False``.
     restarts:
         Number of random restarts for the hyperparameter optimisation.
-    analytic_gradients:
-        Feed L-BFGS-B the closed-form marginal-likelihood gradient (one
-        Cholesky per step).  ``False`` restores scipy's finite-difference
-        fallback — kept only as the benchmark baseline.
     fit_workers:
         Fan the multi-start restarts across ``fit_workers`` worker
         processes.  Deterministic: the same starts are generated either
@@ -230,7 +225,6 @@ class GaussianProcess:
         fit_noise: bool = True,
         restarts: int = 3,
         seed: int = 0,
-        analytic_gradients: bool = True,
         fit_workers: int = 1,
     ) -> None:
         if noise_variance <= 0:
@@ -244,7 +238,6 @@ class GaussianProcess:
         self.fit_noise = fit_noise
         self.restarts = restarts
         self.seed = seed
-        self.analytic_gradients = analytic_gradients
         self.fit_workers = fit_workers
         self._x: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
@@ -415,7 +408,6 @@ class GaussianProcess:
                 self._z,
                 self.noise_variance,
                 self.fit_noise,
-                self.analytic_gradients,
                 bounds,
                 start,
                 self._noise_scale,
@@ -674,7 +666,6 @@ class SparseGaussianProcess:
         fit_noise: bool = True,
         restarts: int = 3,
         seed: int = 0,
-        analytic_gradients: bool = True,
         fit_workers: int = 1,
         max_inducing: int = 256,
         reselect_growth: float = 1.25,
@@ -694,7 +685,6 @@ class SparseGaussianProcess:
         self.fit_noise = fit_noise
         self.restarts = restarts
         self.seed = seed
-        self.analytic_gradients = analytic_gradients
         self.fit_workers = fit_workers
         self.max_inducing = max_inducing
         self.reselect_growth = reselect_growth
@@ -801,7 +791,6 @@ class SparseGaussianProcess:
             fit_noise=self.fit_noise,
             restarts=self.restarts,
             seed=self.seed,
-            analytic_gradients=self.analytic_gradients,
             fit_workers=self.fit_workers,
         )
         scratch.fit(self._x[self._idx], self._y[self._idx], optimize_hypers=True)

@@ -27,13 +27,13 @@ from repro.baselines import (
     CherryPick,
     OtterTuneStyle,
     RandomSearch,
-    WorkloadRepository,
     default_strategy,
     expert_strategy,
 )
 from repro.cluster import ClusterSpec, homogeneous
 from repro.configspace import ml_config_space, to_training_config
 from repro.core import MLConfigTuner, TuningBudget
+from repro.core.transfer import WorkloadRepository
 from repro.harness import metrics
 from repro.harness.comparison import (
     Comparison,

@@ -34,7 +34,7 @@ a schedule never holds mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -86,6 +86,14 @@ class DriftState:
         return self.speed_scale
 
 
+def _require_finite(schedule: "DriftSchedule") -> None:
+    """Reject NaN and infinite numeric fields (NaN passes every ordering check)."""
+    for item in fields(schedule):
+        value = getattr(schedule, item.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ValueError(f"{item.name} must be finite, got {value!r}")
+
+
 class DriftSchedule:
     """Base class: a pure function of virtual time.
 
@@ -118,6 +126,7 @@ class StepDrift(DriftSchedule):
     failure_rate_boost: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.at_s < 0:
             raise ValueError("at_s must be >= 0")
         if self.speed_scale <= 0:
@@ -160,6 +169,7 @@ class RampDrift(DriftSchedule):
     speed_scale: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.start_s < 0 or self.end_s <= self.start_s:
             raise ValueError("need 0 <= start_s < end_s")
         if self.speed_scale <= 0:
@@ -197,6 +207,7 @@ class PeriodicDrift(DriftSchedule):
     phase_s: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.period_s <= 0:
             raise ValueError("period_s must be positive")
         if not 0.0 <= self.amplitude < 1.0:
@@ -233,6 +244,7 @@ class StragglerOnset(DriftSchedule):
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.at_s < 0:
             raise ValueError("at_s must be >= 0")
         if not 0.0 < self.fraction <= 1.0:
@@ -328,6 +340,7 @@ def parse_drift_spec(text: str) -> Optional[DriftSchedule]:
     intensity=1.2"`` composes a straggler onset with an intensity step,
     both firing one virtual hour in.  Returns ``None`` for an empty spec,
     a single schedule for one entry, a :class:`CompositeDrift` otherwise.
+    Every error is a ``ValueError`` that names the offending entry.
     """
     schedules: List[DriftSchedule] = []
     for raw_entry in text.split(";"):
@@ -355,8 +368,30 @@ def parse_drift_spec(text: str) -> Optional[DriftSchedule]:
                         f"{kind}:{{{','.join(sorted(keymap))}}}=VALUE,..."
                     )
                 field_name = keymap[key]
-                kwargs[field_name] = int(value) if field_name == "seed" else float(value)
-        schedules.append(cls(**kwargs))
+                try:
+                    kwargs[field_name] = (
+                        int(value) if field_name == "seed" else float(value)
+                    )
+                except ValueError:
+                    raise ValueError(
+                        f"bad drift entry {entry!r}: {key}={value.strip()!r} "
+                        f"is not a number"
+                    ) from None
+        required = {item.name for item in fields(cls) if item.default is MISSING}
+        missing = [
+            key
+            for key, field_name in keymap.items()
+            if field_name in required and field_name not in kwargs
+        ]
+        if missing:
+            raise ValueError(
+                f"bad drift entry {entry!r}: missing required key(s) "
+                f"{', '.join(missing)}"
+            )
+        try:
+            schedules.append(cls(**kwargs))
+        except ValueError as exc:
+            raise ValueError(f"bad drift entry {entry!r}: {exc}") from None
     if not schedules:
         return None
     if len(schedules) == 1:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _reference import RebuildProposer
 
 from repro.configspace import ConfigSpace, FloatParameter, IntParameter
 from repro.core import TrialHistory
@@ -268,9 +269,7 @@ class TestPersistentSurrogate:
 
     def test_reuse_disabled_rebuilds_per_call(self):
         space = toy_space()
-        proposer = BayesianProposer(
-            space, n_initial=3, n_candidates=64, reuse_surrogate=False, seed=3
-        )
+        proposer = RebuildProposer(space, n_initial=3, n_candidates=64, seed=3)
         rng = np.random.default_rng(3)
         history = self._history(space, 6, seed=3)
         proposer.propose(history, rng)
@@ -483,8 +482,8 @@ class TestRestartSchedule:
         return history, proposals
 
     @classmethod
-    def _proposer(cls, **kwargs):
-        return BayesianProposer(
+    def _proposer(cls, proposer_cls=BayesianProposer, **kwargs):
+        return proposer_cls(
             toy_space(), acquisition="eipc", n_initial=8, n_candidates=64,
             seed=cls.SEED, **kwargs,
         )
@@ -518,7 +517,7 @@ class TestRestartSchedule:
         ]
 
     def test_no_cache_baseline_always_multi_starts(self, fits):
-        self._run(self._proposer(reuse_surrogate=False), 24)
+        self._run(self._proposer(RebuildProposer), 24)
         cost_fits = [tasks for label, _, tasks in fits if label == "cost"]
         assert len(cost_fits) == 24 - 8
         assert set(cost_fits) == {4}

@@ -157,6 +157,80 @@ class TestDriftSchedules:
             CompositeDrift(())
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestMalformedInput:
+    """Bad drift/fleet values raise a ValueError naming the input; the CLI exits 2."""
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("step:intensity=1.2", "missing required key\\(s\\) at"),
+            ("ramp:end=5", "missing required key\\(s\\) start"),
+            ("periodic:amplitude=0.2", "missing required key\\(s\\) period"),
+            ("step:at=abc", "at='abc' is not a number"),
+            ("stragglers:at=3,seed=1.5", "seed='1.5' is not a number"),
+            ("step:at=nan", "at_s must be finite"),
+            ("ramp:start=nan,end=5", "start_s must be finite"),
+            ("stragglers:at=inf", "at_s must be finite"),
+            ("step:at=1,intensity=nan", "intensity must be finite"),
+        ],
+    )
+    def test_parse_drift_spec_names_the_entry(self, spec, message):
+        with pytest.raises(ValueError, match=message) as caught:
+            parse_drift_spec("periodic:period=60;" + spec)
+        assert repr(spec) in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: StepDrift(at_s=NAN),
+            lambda: StepDrift(at_s=0.0, speed_scale=INF),
+            lambda: RampDrift(start_s=NAN, end_s=5.0),
+            lambda: RampDrift(start_s=0.0, end_s=INF),
+            lambda: PeriodicDrift(period_s=NAN),
+            lambda: PeriodicDrift(period_s=60.0, phase_s=NAN),
+            lambda: StragglerOnset(at_s=NAN),
+            lambda: StragglerOnset(at_s=0.0, slowdown=NAN),
+            lambda: OutageWindow("s0", NAN, 10.0),
+            lambda: OutageWindow("s0", 0.0, NAN),
+            lambda: OutageWindow("s0", 0.0, INF),
+            lambda: FailureSpike("s0", NAN, 10.0, rate=0.1),
+            lambda: EnvironmentShard("s0", None, cost_multiplier=NAN),
+            lambda: EnvironmentShard("s0", None, cost_multiplier=INF),
+        ],
+    )
+    def test_constructors_reject_non_finite_values(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+    def test_parse_outage_spec_rejects_nan_bounds(self):
+        with pytest.raises(ValueError, match="'shard0:nan-10'"):
+            parse_outage_spec("shard0:nan-10")
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--drift", "step:intensity=1.2"], "missing required key"),
+            (["--drift", "step:at=abc"], "'step:at=abc'"),
+            (["--drift", "step:at=nan"], "at_s must be finite"),
+            (["--shard-spec", "std-cpu:4@nan"], "cost_multiplier must be positive and finite"),
+            (["--shard-spec", "std-cpu:4@inf"], "cost_multiplier must be positive and finite"),
+            (["--shards", "2", "--outage", "shard0:nan-10"], "'shard0:nan-10'"),
+        ],
+    )
+    def test_cli_exits_2(self, capsys, extra, message):
+        from repro.cli import main as cli_main
+
+        code = cli_main(
+            ["tune", "--workload", "lstm-ptb", "--nodes", "4", "--trials", "3",
+             "--strategy", "random", *extra]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestEnvironmentDrift:
     def test_drift_none_is_bit_identical(self):
         space = ml_config_space(NODES)

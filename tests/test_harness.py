@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _reference import scalar_optimum
 
 from repro.baselines import RandomSearch
 from repro.cluster import homogeneous
@@ -147,16 +148,11 @@ class TestEstimateOptimum:
         env = TrainingEnvironment(WORKLOAD, cluster, seed=3, objective_name=objective)
         space = ml_config_space(8)
         clear_optimum_cache()
-        batch = estimate_optimum(
-            env, space, samples=300, refinement_rounds=8, seed=seed, vectorized=True
-        )
+        batch = estimate_optimum(env, space, samples=300, refinement_rounds=8, seed=seed)
         clear_optimum_cache()
-        scalar = estimate_optimum(
-            env, space, samples=300, refinement_rounds=8, seed=seed, vectorized=False
-        )
-        clear_optimum_cache()
+        scalar = scalar_optimum(env, space, samples=300, refinement_rounds=8, seed=seed)
         # Same winning config AND the exact same float, not approx: the
-        # batch engine replays the scalar path's operation order.
+        # batch engine replays the reference scalar search's operation order.
         assert batch == scalar
 
     def test_drifted_environment_does_not_reuse_stationary_optimum(self):

@@ -8,12 +8,12 @@ from repro.baselines import (
     RandomSearch,
     SuccessiveHalving,
     TPE,
-    WorkloadRepository,
     default_strategy,
 )
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space, to_training_config
 from repro.core import MLConfigTuner, TuningBudget, knob_importance
+from repro.core.transfer import WorkloadRepository
 from repro.harness import compare_strategies, estimate_optimum, metrics
 from repro.mlsim import TrainingEnvironment
 from repro.workloads import get_workload

@@ -211,7 +211,11 @@ class TestFitWorkers:
 
 
 class TestVectorizedCandidateFlag:
+    """The vectorised candidate pipeline and its scalar reference arm."""
+
     def test_scalar_fallback_deterministic_and_valid(self):
+        from _reference import ScalarCandidateProposer
+
         from repro.configspace import ml_config_space
         from repro.core.bo import BayesianProposer
         from repro.core.trial import TrialHistory
@@ -236,19 +240,14 @@ class TestVectorizedCandidateFlag:
                 )
             return h
 
-        proposals = {}
-        for vectorized in (False, True):
+        for proposer_cls in (ScalarCandidateProposer, BayesianProposer):
             h = history()
-            proposer = BayesianProposer(
-                space, n_initial=4, vectorized_candidates=vectorized, seed=0
-            )
+            proposer = proposer_cls(space, n_initial=4, seed=0)
             rng = np.random.default_rng(9)
             first = proposer.propose(h, rng)
             assert space.is_valid(first)
-            # same flag + same seed: bit-reproducible
-            again = BayesianProposer(
-                space, n_initial=4, vectorized_candidates=vectorized, seed=0
-            ).propose(history(), np.random.default_rng(9))
+            # same arm + same seed: bit-reproducible
+            again = proposer_cls(space, n_initial=4, seed=0).propose(
+                history(), np.random.default_rng(9)
+            )
             assert first == again
-            proposals[vectorized] = first
-        assert all(space.is_valid(c) for c in proposals.values())

@@ -11,13 +11,13 @@ from repro.baselines import (
     OtterTuneStyle,
     RandomSearch,
     SimulatedAnnealing,
-    WorkloadRepository,
     default_strategy,
     expert_strategy,
 )
 from repro.cluster import homogeneous
 from repro.configspace import from_training_config, ml_config_space
 from repro.core import TuningBudget
+from repro.core.transfer import WorkloadRepository
 from repro.mlsim import DEFAULT_CONFIG, TrainingEnvironment
 from repro.workloads import get_workload
 

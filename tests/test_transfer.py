@@ -12,8 +12,7 @@ import os
 import numpy as np
 import pytest
 
-import repro.baselines.ottertune as ottertune_module
-from repro.baselines import OtterTuneStyle, RandomSearch, WorkloadRepository
+from repro.baselines import OtterTuneStyle, RandomSearch
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space
 from repro.core import TuningBudget
@@ -23,6 +22,7 @@ from repro.core.kernels import make_kernel
 from repro.core.transfer import (
     HistoryRepository,
     TransferPrior,
+    WorkloadRepository,
     augment_history,
     build_prior,
     landmark_set,
@@ -131,11 +131,6 @@ class _FrozenOtterTune(OtterTuneStyle):
 
 
 class TestOtterTuneExtraction:
-    def test_shim_reexports_the_same_repository_class(self):
-        import repro.core.transfer as transfer
-
-        assert ottertune_module.WorkloadRepository is transfer.WorkloadRepository
-
     def test_shim_trajectory_bit_identical_to_frozen_reference(self):
         repo = seeded_repository()
         budget = TuningBudget(max_trials=14)
