@@ -24,7 +24,7 @@ def bench_f5_scalability(benchmark):
     configs = space.sample_batch(rng, 100)
 
     def kernel():
-        return [env.true_objective(to_training_config(c)) for c in configs]
+        return env.true_objective_batch([to_training_config(c) for c in configs])
 
     values = benchmark(kernel)
-    assert any(v is not None for v in values)
+    assert not np.isnan(values).all()

@@ -18,17 +18,23 @@ Two fidelity modes share one external behaviour: ``"analytic"`` uses the
 closed-form model (fast — used for the large benchmark sweeps), ``"event"``
 runs the discrete-event simulators (reference — used for validation and the
 response-surface experiments).
+
+The closed-form model has one entry point here: an analytic probe is one
+row of :func:`~repro.mlsim.perf.estimate_batch`, and ``true_objective`` is
+one row of ``true_objective_batch``, which the optimum search runs over
+thousands of candidates at once.  Both read the same per-node speed
+factors and the same time-to-accuracy formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster import Cluster, ClusterSpec, PlacementError, place
+from repro.cluster import Cluster, ClusterSpec
 from repro.mlsim.allreduce import run_allreduce_probe
 from repro.mlsim.config import TrainingConfig
 from repro.mlsim.drift import DriftSchedule, DriftState
@@ -36,7 +42,7 @@ from repro.mlsim.perf import (
     STARTUP_OVERHEAD_S,
     InfeasibleConfigError,
     PerfColumns,
-    estimate,
+    check_feasible,
     estimate_batch,
     estimate_columns,
 )
@@ -248,99 +254,6 @@ class TrainingEnvironment:
         self.total_probe_cost_s += measurement.probe_cost_s
         return measurement
 
-    def measure_batch(
-        self,
-        configs: Sequence[TrainingConfig],
-        probe_iterations: Optional[int] = None,
-        charge_startup: bool = True,
-    ) -> List[Measurement]:
-        """Probe many configurations in one call.
-
-        Identical to ``[self.measure(c, ...) for c in configs]`` — same
-        trial-index assignment, same per-trial noise and failure streams
-        (they are keyed by trial index, not by call order), same
-        measurements bit-for-bit — but the analytic fidelity evaluates the
-        whole batch through :func:`~repro.mlsim.perf.estimate_batch`
-        instead of one closed-form solve per probe.  The event fidelity
-        has no batched form and falls back to the scalar loop.
-        """
-        configs = [config.canonical() for config in configs]
-        iterations = (
-            probe_iterations if probe_iterations is not None else self.probe_iterations
-        )
-        if iterations < 2:
-            raise ValueError("probe_iterations must be >= 2")
-        if self.fidelity != "analytic":
-            return [
-                self.measure(config, probe_iterations, charge_startup)
-                for config in configs
-            ]
-        batch = estimate_batch(
-            configs,
-            self.workload,
-            self.cluster,
-            node_speed_factors=self._node_speed_factors(),
-        )
-        results: List[Measurement] = []
-        for i, config in enumerate(configs):
-            trial_index = self.trials_run
-            self.trials_run += 1
-            failure_rate = self.transient_failure_rate
-            extra = self.extra_failure_rate
-            if self.drift is not None:
-                extra += self._drift_state().failure_rate_boost
-            if extra > 0:
-                failure_rate = min(failure_rate + extra, 0.999)
-            if failure_rate > 0:
-                failure_rng = (
-                    RngRegistry(self.seed)
-                    .fork(trial_index + 1)
-                    .stream("transient.failure")
-                )
-                if failure_rng.random() < failure_rate:
-                    wasted = STARTUP_OVERHEAD_S * (1.0 + 2.0 * failure_rng.random())
-                    measurement = Measurement(
-                        config=config,
-                        ok=False,
-                        fidelity=self.fidelity,
-                        error="transient worker failure (injected)",
-                        probe_cost_s=(
-                            wasted
-                            if charge_startup
-                            else max(0.0, wasted - STARTUP_OVERHEAD_S)
-                        ),
-                    )
-                    self.total_probe_cost_s += measurement.probe_cost_s
-                    results.append(measurement)
-                    continue
-            if batch.ok[i]:
-                measurement = self._finish(
-                    config,
-                    float(batch.throughput[i]),
-                    float(batch.iteration_time_s[i]),
-                    float(batch.mean_staleness[i]),
-                    trial_index,
-                    iterations,
-                )
-                if not charge_startup:
-                    measurement = replace(
-                        measurement,
-                        probe_cost_s=max(
-                            0.0, measurement.probe_cost_s - STARTUP_OVERHEAD_S
-                        ),
-                    )
-            else:
-                measurement = Measurement(
-                    config=config,
-                    ok=False,
-                    fidelity=self.fidelity,
-                    error=self._infeasible_error(config),
-                    probe_cost_s=STARTUP_OVERHEAD_S if charge_startup else 0.0,
-                )
-            self.total_probe_cost_s += measurement.probe_cost_s
-            results.append(measurement)
-        return results
-
     def true_objective(
         self, config: TrainingConfig, at_s: Optional[float] = None
     ) -> Optional[float]:
@@ -350,41 +263,20 @@ class TrainingEnvironment:
         optimum — not available to tuners.  Under a drift schedule the
         objective is time-varying; ``at_s`` evaluates it at a specific
         virtual timestamp (default: the environment's current clock).
+        One row of :meth:`true_objective_batch`.
         """
-        config = config.canonical()
-        try:
-            perf = estimate(
-                config,
-                self.workload,
-                self.cluster,
-                self._worker_speeds(config, at_s=at_s),
-            )
-        except InfeasibleConfigError:
-            return None
-        throughput = perf.throughput
-        if self.drift is not None:
-            state = self._drift_state(at_s)
-            if state.intensity != 1.0:
-                throughput = throughput / state.intensity
-        if self.objective_name == "throughput":
-            return throughput
-        return -self._tta(
-            throughput,
-            perf.mean_staleness,
-            config.global_batch,
-            config.compression_ratio,
-        )
+        value = self.true_objective_batch([config], at_s)[0]
+        return None if np.isnan(value) else float(value)
 
     def true_objective_batch(
         self, configs: Sequence[TrainingConfig], at_s: Optional[float] = None
     ) -> np.ndarray:
         """Noise-free objectives for a whole batch; NaN marks infeasible.
 
-        The vectorised twin of :meth:`true_objective`: feasible rows are
-        bit-identical to the scalar call at the same ``at_s``, infeasible
-        rows come back NaN (the array analogue of the scalar ``None``).
-        This is what lets :func:`~repro.harness.estimate_optimum` evaluate
-        thousands of candidates per call instead of one.
+        Row ``i`` is :meth:`true_objective` of ``configs[i]`` at the same
+        ``at_s``, with NaN standing in for its ``None``.  This is what
+        lets :func:`~repro.harness.estimate_optimum` evaluate thousands of
+        candidates per call instead of one.
 
         No canonicalisation pass: :func:`~repro.mlsim.perf.estimate_batch`
         accepts raw configs, and the objective terms read downstream
@@ -401,8 +293,8 @@ class TrainingEnvironment:
         The zero-object entry point: callers that already hold knob
         columns (:func:`~repro.harness.estimate_optimum` stacking encoded
         candidate matrices) skip per-row ``TrainingConfig`` construction
-        entirely.  Same contract — feasible rows bit-identical to the
-        scalar path, NaN elsewhere.
+        entirely.  Same contract — one objective per row, NaN for
+        infeasible rows.
         """
         batch = estimate_columns(
             columns,
@@ -435,32 +327,11 @@ class TrainingEnvironment:
         t = self.clock_s if at_s is None else float(at_s)
         return self.drift.state_at(t, self.cluster.total_nodes)
 
-    def _worker_speeds(self, config: TrainingConfig, at_s: Optional[float] = None):
-        try:
-            placement = place(
-                self.cluster.total_nodes,
-                config.num_ps if config.uses_ps else 0,
-                config.num_workers,
-                config.colocate_ps if config.uses_ps else False,
-            )
-        except PlacementError as exc:
-            raise InfeasibleConfigError(str(exc)) from exc
-        if self.drift is None:
-            return [self._speed_factors[n] for n in placement.worker_nodes]
-        state = self._drift_state(at_s)
-        if state.is_identity:
-            return [self._speed_factors[n] for n in placement.worker_nodes]
-        return [
-            self._speed_factors[n] * state.node_scale(n)
-            for n in placement.worker_nodes
-        ]
-
     def _node_speed_factors(self, at_s: Optional[float] = None) -> np.ndarray:
         """Per-*node* speed factors at ``at_s`` (drift included).
 
-        The batched estimator indexes by node id because different rows
-        place their workers on different nodes; ``_worker_speeds`` is the
-        same data gathered for one config's placement.
+        The perf engine indexes by node id because different rows place
+        their workers on different nodes.
         """
         if self.drift is None:
             return np.asarray(self._speed_factors, dtype=float)
@@ -475,21 +346,6 @@ class TrainingEnvironment:
             dtype=float,
         )
 
-    def _infeasible_error(self, config: TrainingConfig) -> str:
-        """The scalar path's error message for an infeasible config.
-
-        The batch mask only says *that* a row is infeasible; the message
-        (placement vs memory vs batch floor) comes from replaying the
-        scalar checks, which raise before any heavy work.
-        """
-        try:
-            estimate(config, self.workload, self.cluster, self._worker_speeds(config))
-        except InfeasibleConfigError as exc:
-            return str(exc)
-        raise RuntimeError(
-            "estimate_batch marked a row infeasible that the scalar model accepts"
-        )
-
     def _tta_batch(
         self,
         throughput: np.ndarray,
@@ -497,12 +353,12 @@ class TrainingEnvironment:
         global_batch: np.ndarray,
         compression_ratio: np.ndarray,
     ) -> np.ndarray:
-        """Vectorised :meth:`_tta`, bit-identical per feasible row.
+        """Time-to-accuracy in seconds per row (inf where throughput <= 0).
 
         Replays ``ConvergenceProfile.iterations_to_target``'s operation
         order over arrays; the compression penalty's ``log`` is evaluated
         with ``math.log`` per *unique* ratio (a handful of categorical
-        levels) so the transcendental matches the scalar path exactly.
+        levels) so every row is bit-identical to the per-config formula.
         """
         convergence = self.workload.model.convergence
         scale = convergence.ref_batch / global_batch
@@ -531,20 +387,6 @@ class TrainingEnvironment:
         rng = RngRegistry(self.seed).fork(trial_index + 1).stream("measurement.noise")
         return float(rng.lognormal(mean=0.0, sigma=sigma))
 
-    def _tta(
-        self,
-        throughput: float,
-        staleness: float,
-        global_batch: int,
-        compression_ratio: float = 1.0,
-    ) -> float:
-        if throughput <= 0:
-            return float("inf")
-        iters = self.workload.model.convergence.iterations_to_target(
-            global_batch, staleness, compression_ratio
-        )
-        return STARTUP_OVERHEAD_S + iters * global_batch / throughput
-
     def _finish(
         self,
         config: TrainingConfig,
@@ -561,7 +403,14 @@ class TrainingEnvironment:
                 # proportionally fewer samples/s.
                 throughput = throughput / intensity
         throughput *= self._noise(trial_index, iterations)
-        tta = self._tta(throughput, staleness, config.global_batch, config.compression_ratio)
+        tta = float(
+            self._tta_batch(
+                np.array([throughput]),
+                np.array([staleness]),
+                np.array([config.global_batch]),
+                np.array([config.compression_ratio]),
+            )[0]
+        )
         probe_cost = STARTUP_OVERHEAD_S + (
             iterations * config.global_batch / throughput if throughput > 0 else 0.0
         )
@@ -581,7 +430,13 @@ class TrainingEnvironment:
     def _measure_analytic(
         self, config: TrainingConfig, trial_index: int, iterations: int
     ) -> Measurement:
-        perf = estimate(config, self.workload, self.cluster, self._worker_speeds(config))
+        check_feasible(config, self.workload, self.cluster)
+        perf = estimate_batch(
+            [config],
+            self.workload,
+            self.cluster,
+            node_speed_factors=self._node_speed_factors(),
+        ).row(0)
         return self._finish(
             config,
             perf.throughput,

@@ -22,13 +22,23 @@ the compute-limited, worker-NIC-limited, and PS-NIC-limited aggregate rates,
 at the price of gradient staleness.  SSP interpolates between the two with
 the staleness bound.  Ring all-reduce replaces the PS exchange with the
 classic 2(n-1)/n pattern bottlenecked by the slowest NIC in the ring.
+
+One engine
+----------
+:func:`estimate_columns` is the model: it evaluates the terms above for a
+whole batch of configurations at once, as arrays.  :func:`estimate_batch`
+feeds it :class:`TrainingConfig` objects and :func:`estimate` is one row
+of that batch, so every probe, true objective and single-config estimate
+runs the same code.  The per-config formulation it replaced is frozen in
+``benchmarks/_reference.py`` (``scalar_estimate``); the property tests
+require every feasible row to equal it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -37,8 +47,6 @@ from repro.mlsim.config import DEFAULT_CONFIG, _PRECISION_FACTOR, TrainingConfig
 from repro.mlsim.pipeline import (
     DECODE_BYTES_PER_CORE_PER_SEC,
     STORAGE_BYTES_PER_SEC,
-    effective_iteration_time,
-    iteration_input_time,
 )
 from repro.workloads import Workload
 
@@ -143,53 +151,6 @@ def _straggler_tail_factor(num_workers: int, jitter_cv: float) -> float:
     return math.exp(jitter_cv * math.sqrt(2.0 * math.log(num_workers)))
 
 
-def worker_compute_times(
-    config: TrainingConfig,
-    workload: Workload,
-    cluster: ClusterSpec,
-    speed_factors: Sequence[float],
-) -> List[float]:
-    """Per-worker mean compute time for one local minibatch.
-
-    ``speed_factors`` has one entry per *worker*, in placement order,
-    already including persistent-straggler slowdowns.
-    """
-    flops = workload.model.flops_per_sample * config.batch_per_worker
-    node_specs = cluster.node_specs()
-    placement = place(
-        cluster.total_nodes,
-        config.num_ps if config.uses_ps else 0,
-        config.num_workers,
-        config.colocate_ps if config.uses_ps else False,
-    )
-    times = []
-    for rank, node_id in enumerate(placement.worker_nodes):
-        spec = node_specs[node_id]
-        base_rate = spec.gflops * 1e9 * speed_factors[rank]
-        # Cores dedicated to the input pipeline are unavailable for math.
-        available = spec.cores - config.io_threads
-        if available < 1:
-            raise InfeasibleConfigError(
-                f"io_threads {config.io_threads} starves compute on node {node_id}"
-            )
-        threads = config.intra_op_threads
-        if threads == 0 or threads >= available:
-            threads = available
-        if threads >= spec.cores:
-            rate = base_rate
-        else:
-            fraction = threads / spec.cores
-            rate = base_rate * fraction * (1.0 + 0.1 * (1.0 - fraction))
-        train_time = flops / rate + ITERATION_OVERHEAD_S
-        input_time = iteration_input_time(
-            spec, workload.dataset, config.io_threads, config.batch_per_worker
-        )
-        times.append(
-            effective_iteration_time(train_time, input_time, config.prefetch_batches)
-        )
-    return times
-
-
 def estimate(
     config: TrainingConfig,
     workload: Workload,
@@ -198,163 +159,30 @@ def estimate(
 ) -> PerfEstimate:
     """Closed-form performance estimate for ``config`` on ``cluster``.
 
-    ``speed_factors`` (one per worker) defaults to all-ones; the measurement
-    layer passes the instantiated cluster's factors so analytic and
-    event-driven fidelities see the same hardware.
+    One row of :func:`estimate_batch`.  ``speed_factors`` (one per worker,
+    in placement order) defaults to all-ones; they are scattered onto the
+    config's worker nodes, which is how the batch engine reads them.
 
-    Raises :class:`InfeasibleConfigError` for unrunnable configurations.
+    Raises :class:`InfeasibleConfigError` for unrunnable configurations,
+    with the message of the :func:`check_feasible` check that failed.
     """
     config = config.canonical()
     check_feasible(config, workload, cluster)
-    if speed_factors is None:
-        speed_factors = [1.0] * config.num_workers
-    if len(speed_factors) != config.num_workers:
-        raise ValueError(
-            f"need {config.num_workers} speed factors, got {len(speed_factors)}"
+    node_factors = None
+    if speed_factors is not None:
+        if len(speed_factors) != config.num_workers:
+            raise ValueError(
+                f"need {config.num_workers} speed factors, got {len(speed_factors)}"
+            )
+        placement = place(
+            cluster.total_nodes,
+            config.num_ps if config.uses_ps else 0,
+            config.num_workers,
+            config.colocate_ps if config.uses_ps else False,
         )
-
-    model = workload.model
-    grad_bytes = model.param_bytes * config.gradient_bytes_factor
-    comp_times = worker_compute_times(config, workload, cluster, speed_factors)
-    mean_comp = sum(comp_times) / len(comp_times)
-    tail = _straggler_tail_factor(config.num_workers, cluster.jitter_cv)
-    max_comp = max(comp_times) * tail
-
-    if config.uses_ps:
-        return _estimate_ps(config, workload, cluster, grad_bytes, comp_times, mean_comp, max_comp)
-    return _estimate_allreduce(config, cluster, grad_bytes, max_comp)
-
-
-def _nic_rates(config: TrainingConfig, cluster: ClusterSpec) -> tuple:
-    """(worker NIC, PS NIC) bytes/sec, accounting for colocation sharing."""
-    node_specs = cluster.node_specs()
-    placement = place(
-        cluster.total_nodes,
-        config.num_ps if config.uses_ps else 0,
-        config.num_workers,
-        config.colocate_ps if config.uses_ps else False,
-    )
-    worker_nic = min(node_specs[n].nic_bytes_per_sec for n in placement.worker_nodes)
-    if config.uses_ps and placement.ps_nodes:
-        ps_nic = min(node_specs[n].nic_bytes_per_sec for n in placement.ps_nodes)
-        if config.colocate_ps:
-            # PS and worker traffic share the node NIC.  With full-duplex
-            # links, a worker's push and the colocated server's gradient
-            # ingress use opposite directions, but pulls and parameter
-            # egress collide: halve effective capacity.
-            worker_nic *= 0.5
-            ps_nic *= 0.5
-    else:
-        ps_nic = float("inf")
-    return worker_nic, ps_nic
-
-
-def _estimate_ps(
-    config: TrainingConfig,
-    workload: Workload,
-    cluster: ClusterSpec,
-    grad_bytes: float,
-    comp_times: Sequence[float],
-    mean_comp: float,
-    max_comp: float,
-) -> PerfEstimate:
-    worker_nic, ps_nic = _nic_rates(config, cluster)
-    latency = cluster.latency_s
-    shard_bytes = grad_bytes / config.num_ps
-
-    # --- Synchronous (BSP) path -----------------------------------------
-    # Push: all workers send simultaneously; each PS ingress carries
-    # num_workers shards.  Worker egress carries the whole gradient.
-    push_ps_limited = config.num_workers * shard_bytes / ps_nic
-    push_worker_limited = grad_bytes / worker_nic
-    push_time = max(push_ps_limited, push_worker_limited) + latency
-    # Pull is symmetric (parameter egress from servers).
-    pull_time = push_time
-    comm_sync = (push_time + pull_time) * (1.0 - BSP_OVERLAP)
-    barrier = latency * max(1.0, math.log2(max(2, config.num_workers)))
-    bsp_iter = max_comp + comm_sync + barrier
-    bsp_throughput = config.global_batch / bsp_iter
-
-    if config.sync_mode == "bsp":
-        bottleneck = "compute" if max_comp >= comm_sync else (
-            "ps-nic" if push_ps_limited >= push_worker_limited else "worker-nic"
-        )
-        return PerfEstimate(
-            iteration_time_s=bsp_iter,
-            throughput=bsp_throughput,
-            mean_staleness=0.0,
-            compute_time_s=max_comp,
-            comm_time_s=comm_sync + barrier,
-            bottleneck=bottleneck,
-        )
-
-    # --- Asynchronous (ASP) path ------------------------------------------
-    # Aggregate update rate is the min of three capacities (updates/sec):
-    solo_comm = 2.0 * (shard_bytes * config.num_ps / worker_nic + latency)
-    compute_rate = sum(1.0 / (t + solo_comm * (1.0 - BSP_OVERLAP)) for t in comp_times)
-    worker_nic_rate = sum(1.0 / (2.0 * grad_bytes / worker_nic) for _ in comp_times)
-    ps_nic_rate = ps_nic * config.num_ps / grad_bytes  # one direction each way
-    asp_rate = min(compute_rate, worker_nic_rate, ps_nic_rate)
-    asp_throughput = asp_rate * config.batch_per_worker
-    asp_staleness = max(0.0, config.num_workers - 1.0)
-
-    if config.sync_mode == "asp":
-        if asp_rate == compute_rate:
-            bottleneck = "compute"
-        elif asp_rate == ps_nic_rate:
-            bottleneck = "ps-nic"
-        else:
-            bottleneck = "worker-nic"
-        return PerfEstimate(
-            iteration_time_s=config.num_workers / asp_rate,
-            throughput=asp_throughput,
-            mean_staleness=asp_staleness,
-            compute_time_s=mean_comp,
-            comm_time_s=solo_comm,
-            bottleneck=bottleneck,
-        )
-
-    # --- SSP: interpolate between BSP (bound 0) and ASP (bound → ∞) -------
-    bound = config.staleness_bound
-    blend = bound / (bound + 2.0)  # 0 → BSP, large → ASP
-    ssp_throughput = bsp_throughput + (asp_throughput - bsp_throughput) * blend
-    ssp_staleness = min(asp_staleness, float(bound)) * blend if bound > 0 else 0.0
-    return PerfEstimate(
-        iteration_time_s=config.global_batch / ssp_throughput,
-        throughput=ssp_throughput,
-        mean_staleness=ssp_staleness,
-        compute_time_s=mean_comp,
-        comm_time_s=comm_sync,
-        bottleneck="mixed",
-    )
-
-
-def _estimate_allreduce(
-    config: TrainingConfig,
-    cluster: ClusterSpec,
-    grad_bytes: float,
-    max_comp: float,
-) -> PerfEstimate:
-    n = config.num_workers
-    node_specs = cluster.node_specs()
-    placement = place(cluster.total_nodes, 0, n, False)
-    ring_nic = min(node_specs[i].nic_bytes_per_sec for i in placement.worker_nodes)
-    latency = cluster.latency_s
-    if n == 1:
-        comm = 0.0
-    else:
-        steps = 2 * (n - 1)
-        comm = steps * (grad_bytes / n / ring_nic + latency)
-    comm_effective = comm * (1.0 - BSP_OVERLAP)
-    iter_time = max_comp + comm_effective
-    return PerfEstimate(
-        iteration_time_s=iter_time,
-        throughput=config.global_batch / iter_time,
-        mean_staleness=0.0,
-        compute_time_s=max_comp,
-        comm_time_s=comm_effective,
-        bottleneck="compute" if max_comp >= comm_effective else "ring",
-    )
+        node_factors = np.ones(cluster.total_nodes)
+        node_factors[list(placement.worker_nodes)] = speed_factors
+    return estimate_batch([config], workload, cluster, node_factors).row(0)
 
 
 @dataclass(frozen=True)
@@ -363,9 +191,8 @@ class BatchPerfEstimate:
 
     Arrays are aligned with the input ``configs`` sequence.  Infeasible
     rows have ``ok=False`` and NaN in every numeric column (``None`` in
-    ``bottleneck``); feasible rows are bit-identical to the corresponding
-    scalar :func:`estimate` call — the batch engine replays the scalar
-    model's exact operation order, it does not approximate it.
+    ``bottleneck``).  :meth:`row` turns one feasible row into the
+    :class:`PerfEstimate` that :func:`estimate` returns.
     """
 
     ok: np.ndarray
@@ -380,7 +207,7 @@ class BatchPerfEstimate:
         return int(self.ok.shape[0])
 
     def row(self, index: int) -> PerfEstimate:
-        """The scalar estimate for one row; raises for infeasible rows."""
+        """The :class:`PerfEstimate` for one row; raises for infeasible rows."""
         if not self.ok[index]:
             raise InfeasibleConfigError(f"batch row {index} is infeasible")
         return PerfEstimate(
@@ -517,14 +344,13 @@ def estimate_batch(
 ) -> BatchPerfEstimate:
     """Closed-form estimates for a whole batch of configurations.
 
-    The vectorised twin of :func:`estimate`; see :func:`estimate_columns`
-    for the engine itself.  Feasible rows are **bit-identical** to the
-    per-config scalar path (property-tested).
+    :func:`estimate_columns` on :class:`TrainingConfig` inputs; see there
+    for the engine itself.
 
     ``node_speed_factors`` has one entry per *cluster node* (default all
-    ones) — unlike scalar :func:`estimate`, which takes per-worker factors,
+    ones) — unlike :func:`estimate`, which takes per-worker factors,
     because different rows place their workers on different nodes.  Row
-    ``i`` matches ``estimate(configs[i], ..., speed_factors=[factors[n]
+    ``i`` equals ``estimate(configs[i], ..., speed_factors=[factors[n]
     for n in placement.worker_nodes])``.
 
     Infeasible rows come back as ``ok=False`` with NaN metrics instead of
@@ -546,7 +372,7 @@ def estimate_columns(
     cluster: ClusterSpec,
     node_speed_factors: Sequence[float] | None = None,
 ) -> BatchPerfEstimate:
-    """The batch performance engine, operating on columnar inputs.
+    """The performance model, operating on columnar inputs.
 
     Fully vectorised over rows *and* worker ranks: feasibility is checked
     as array masks, and the compute/push/pull/ring terms are evaluated on
@@ -558,12 +384,13 @@ def estimate_columns(
     ``[0, num_ps)``; every row sharing a topology reuses the same node
     attribute tables through the gather.
 
-    Bit-parity with scalar :func:`estimate` is maintained by replaying its
-    operation order exactly: per-worker sums accumulate rank-by-rank in
-    placement order (never ``np.sum``'s pairwise tree), and the
-    transcendentals (straggler tail, barrier log) are computed with
-    ``math.*`` per distinct worker count, never with vectorised libm
-    (which may differ in the last ulp).
+    Every feasible row is bit-identical to the frozen per-config model
+    (``scalar_estimate`` in ``benchmarks/_reference.py``, property-tested)
+    because the engine keeps its operation order: per-worker sums
+    accumulate rank-by-rank in placement order (never ``np.sum``'s
+    pairwise tree), and the transcendentals (straggler tail, barrier log)
+    are computed with ``math.*`` per distinct worker count, never with
+    vectorised libm (which may differ in the last ulp).
     """
     count = len(cols)
     total_nodes = cluster.total_nodes
@@ -630,7 +457,7 @@ def estimate_columns(
     cores_by_node = np.array([spec.cores for spec in node_specs], dtype=np.int64)
     nic_by_node = np.array([spec.nic_bytes_per_sec for spec in node_specs])
     # min NIC over the PS prefix [0, num_ps) — min is exactly associative,
-    # so a prefix-scan matches the scalar Python min().
+    # so a prefix-scan matches Python's min() over the prefix.
     nic_prefix_min = np.minimum.accumulate(nic_by_node)
     latency = cluster.latency_s
     jitter_cv = cluster.jitter_cv
@@ -673,7 +500,7 @@ def estimate_columns(
     )
 
     sum_comp = np.zeros(feas.size)
-    for r in range(max_w):  # scalar sum() order, not pairwise
+    for r in range(max_w):  # Python sum() order, not pairwise
         sum_comp = np.where(active[:, r], sum_comp + eff[:, r], sum_comp)
     mean_comp = sum_comp / f_w
     tail_by_w = np.array(
@@ -740,7 +567,7 @@ def estimate_columns(
     act_ps = active[ps]
     compute_rate = np.zeros(ps.size)
     worker_nic_rate = np.zeros(ps.size)
-    for r in range(max_w):  # scalar sum() order again
+    for r in range(max_w):  # Python sum() order again
         term = 1.0 / (eff_ps[:, r] + overlap_comm)
         compute_rate = np.where(act_ps[:, r], compute_rate + term, compute_rate)
         worker_nic_rate = np.where(

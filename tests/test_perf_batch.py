@@ -1,20 +1,29 @@
-"""Property tests for the vectorised batch probe engine.
+"""Property tests for the closed-form performance model.
 
-The batch engine's contract is *bit-equality* with the scalar model —
-not approximate agreement.  Hypothesis drives arbitrary configuration
-batches (feasible and infeasible, every architecture and sync mode,
-input-pipeline and compression knobs engaged) through both paths and
-requires the full :class:`~repro.mlsim.PerfEstimate` to compare equal
-with ``==``, never ``approx``.
+The columnar engine is the only perf model in ``src/``; its contract is
+*bit-equality* with the frozen per-config model in
+``benchmarks/_reference.py`` — not approximate agreement.  Hypothesis
+drives arbitrary configuration batches (feasible and infeasible, every
+architecture and sync mode, input-pipeline and compression knobs engaged)
+through both and requires the full :class:`~repro.mlsim.PerfEstimate` to
+compare equal with ``==``, never ``approx``.  The probe stream and a tuner
+session on top of the engine are pinned to values recorded when probes
+still ran through the per-config model.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
+from _reference import scalar_estimate, scalar_true_objective
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, PlacementError, homogeneous, place
 from repro.cluster.node import CATALOGUE
+from repro.configspace import ml_config_space, to_training_config
+from repro.core import MLConfigTuner, TuningBudget, TuningSession
+from repro.harness.chaos import result_fingerprint
 from repro.mlsim import (
     CompositeDrift,
     InfeasibleConfigError,
@@ -29,7 +38,6 @@ from repro.mlsim import (
 from repro.workloads import get_workload
 
 WORKLOAD = get_workload("resnet50-imagenet")
-CHEAP_WORKLOAD = get_workload("lstm-ptb")
 
 HOMOGENEOUS = homogeneous(8)
 HETEROGENEOUS = ClusterSpec(
@@ -54,7 +62,7 @@ config_strategy = st.builds(
 
 
 def scalar_reference(config, workload, cluster, factors):
-    """The scalar model's answer for one config (None if infeasible)."""
+    """The frozen scalar model's answer and worker speeds (None if infeasible)."""
     canonical = config.canonical()
     try:
         placement = place(
@@ -68,9 +76,9 @@ def scalar_reference(config, workload, cluster, factors):
             if factors is None
             else [float(factors[n]) for n in placement.worker_nodes]
         )
-        return estimate(config, workload, cluster, speed_factors=speeds)
+        return scalar_estimate(config, workload, cluster, speed_factors=speeds), speeds
     except (InfeasibleConfigError, PlacementError):
-        return None
+        return None, None
 
 
 class TestEstimateBatchParity:
@@ -95,22 +103,27 @@ class TestEstimateBatchParity:
         )
         assert len(batch) == len(configs)
         for i, config in enumerate(configs):
-            reference = scalar_reference(config, WORKLOAD, cluster, factors)
+            reference, speeds = scalar_reference(config, WORKLOAD, cluster, factors)
             if reference is None:
                 assert not batch.ok[i]
                 assert np.isnan(batch.throughput[i])
                 assert batch.bottleneck[i] is None
                 with pytest.raises(InfeasibleConfigError):
                     batch.row(i)
+                with pytest.raises(InfeasibleConfigError):
+                    estimate(config, WORKLOAD, cluster)
             else:
                 assert batch.ok[i]
                 assert batch.row(i) == reference  # full-dataclass bit equality
+                assert estimate(config, WORKLOAD, cluster, speed_factors=speeds) == reference
 
     def test_rejects_wrong_factor_count(self):
         with pytest.raises(ValueError, match="speed factors"):
             estimate_batch(
                 [TrainingConfig()], WORKLOAD, HOMOGENEOUS, node_speed_factors=[1.0]
             )
+        with pytest.raises(ValueError, match="need 4 speed factors, got 1"):
+            estimate(TrainingConfig(), WORKLOAD, HOMOGENEOUS, speed_factors=[1.0])
 
     def test_from_knob_columns_defaults_match_config_defaults(self):
         # A space that only searches two knobs: everything else must fall
@@ -166,50 +179,109 @@ class TestTrueObjectiveBatchParity:
         env.set_clock(250.0)
         values = env.true_objective_batch(configs, at_s=at_s)
         for i, config in enumerate(configs):
-            scalar = env.true_objective(config, at_s=at_s)
+            scalar = scalar_true_objective(env, config, at_s=at_s)
+            single = env.true_objective(config, at_s=at_s)
             if scalar is None:
                 assert np.isnan(values[i])
+                assert single is None
             else:
                 assert values[i] == scalar  # bitwise, not approx
+                assert single == scalar and type(single) is float
 
 
-class TestMeasureBatchParity:
-    @given(
-        seed=st.integers(min_value=0, max_value=50),
-        objective=st.sampled_from(("throughput", "tta")),
-        charge_startup=st.booleans(),
+# Configs every probe path must reject, one per infeasibility check.
+INFEASIBLE = (
+    TrainingConfig(num_workers=12),  # 12 workers + 2 dedicated PS on 8 nodes
+    TrainingConfig(architecture="allreduce", num_workers=9),
+    TrainingConfig(batch_per_worker=2048),  # activations exceed node memory
+    TrainingConfig(batch_per_worker=2),  # below the model's minimum batch
+    TrainingConfig(io_threads=64),  # input pipeline takes every core
+)
+
+
+def measure_stream():
+    """A mixed probe stream over three environments, as one list.
+
+    Throughput and TTA objectives with transient failures and alternating
+    ``charge_startup``, every infeasibility kind, and a drifted
+    heterogeneous cluster read at two clocks; each environment's counters
+    close its segment.
+    """
+    rng = np.random.default_rng(5)
+    space = ml_config_space(8)
+    sampled = [to_training_config(space.sample(rng)) for _ in range(16)]
+    configs = sampled[:8] + list(INFEASIBLE) + sampled[8:]
+    stream = []
+    for seed, objective in ((21, "throughput"), (22, "tta")):
+        env = TrainingEnvironment(
+            WORKLOAD,
+            HOMOGENEOUS,
+            seed=seed,
+            objective_name=objective,
+            noise_cv=0.05,
+            transient_failure_rate=0.2,
+        )
+        for i, config in enumerate(configs):
+            stream.append(env.measure(config, charge_startup=i % 3 != 0))
+        stream.append((env.trials_run, env.total_probe_cost_s))
+    drifted = TrainingEnvironment(
+        WORKLOAD,
+        HETEROGENEOUS,
+        seed=4,
+        objective_name="tta",
+        transient_failure_rate=0.1,
+        drift=DRIFT,
     )
-    @settings(max_examples=15, deadline=None)
-    def test_replays_scalar_measurement_stream(self, seed, objective, charge_startup):
-        def build():
-            env = TrainingEnvironment(
-                CHEAP_WORKLOAD,
-                HOMOGENEOUS,
-                seed=21,
-                objective_name=objective,
-                noise_cv=0.05,
-                transient_failure_rate=0.2,
-            )
-            return env
+    for clock in (50.0, 400.0):
+        drifted.set_clock(clock)
+        stream.extend(drifted.measure(config) for config in configs)
+    stream.append((drifted.trials_run, drifted.total_probe_cost_s))
+    return stream
 
-        from repro.configspace import ml_config_space, to_training_config
 
-        rng = np.random.default_rng(seed)
-        space = ml_config_space(8)
-        configs = [to_training_config(space.sample(rng)) for _ in range(12)]
+def session_fingerprint():
+    """A 30-trial default-tuner session on analytic probes."""
+    env = TrainingEnvironment(
+        WORKLOAD, HOMOGENEOUS, seed=0, transient_failure_rate=0.1
+    )
+    result = TuningSession(MLConfigTuner()).run(
+        env, ml_config_space(8), TuningBudget(max_trials=30), seed=2
+    )
+    return result_fingerprint(result)
 
-        scalar_env, batch_env = build(), build()
-        scalar = [
-            scalar_env.measure(config, charge_startup=charge_startup)
-            for config in configs
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestMeasurePinned:
+    """``measure`` on the batch engine replays the per-config model's stream.
+
+    The digests were recorded when every analytic probe still ran through
+    the scalar model (the one now frozen in ``benchmarks/_reference.py``);
+    ``repr`` round-trips floats exactly, so equal digests mean equal bits.
+    """
+
+    STREAM_SHA256 = "7073db835e21464a820348da749bec368906f8c74fd798fea71414dfeb93bef1"
+    SESSION_SHA256 = "73e687d5e6c25d1dd1383404f2a0fcfdd0a30f96c1862efc0bea810bcc9a61c7"
+
+    def test_measure_stream_matches_recording(self):
+        stream = measure_stream()
+        assert len(stream) == 4 * 22 - 1
+        # The drifted segment at clock 50 draws no transient failure on
+        # the infeasible slots, so each check's own message comes back.
+        assert [m.error for m in stream[52:57]] == [
+            "dedicated placement needs 14 nodes, cluster has 8",
+            "dedicated placement needs 9 nodes, cluster has 8",
+            "worker memory: need 194.9 GB (replica 0.3 + activations 194.6), "
+            "node has 64.0 GB",
+            "batch_per_worker 2 below model minimum 4",
+            "io_threads 64 leaves no compute cores on a 16-core node",
         ]
-        batch = batch_env.measure_batch(configs, charge_startup=charge_startup)
-        assert scalar == batch  # Measurement dataclass equality, all fields
-        assert scalar_env.trials_run == batch_env.trials_run
-        assert scalar_env.total_probe_cost_s == batch_env.total_probe_cost_s
+        assert stream[21] == (21, 1618.6003950263885)
+        assert stream[43] == (21, 3740.6726970609634)
+        assert stream[-1] == (42, 19453.364818595237)
+        assert digest(repr(stream)) == self.STREAM_SHA256
 
-    def test_event_fidelity_falls_back_to_scalar_loop(self):
-        config = TrainingConfig(num_workers=4)
-        scalar_env = TrainingEnvironment(CHEAP_WORKLOAD, HOMOGENEOUS, fidelity="event")
-        batch_env = TrainingEnvironment(CHEAP_WORKLOAD, HOMOGENEOUS, fidelity="event")
-        assert batch_env.measure_batch([config]) == [scalar_env.measure(config)]
+    def test_session_fingerprint_matches_recording(self):
+        assert digest(session_fingerprint()) == self.SESSION_SHA256
