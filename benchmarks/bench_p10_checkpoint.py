@@ -3,9 +3,9 @@
 Two claims, one payload:
 
 - ``checkpoint/quick`` — the cost of running the quick BO cell with a
-  crash-safe checkpoint at its most aggressive cadence
-  (``every_n_trials=1``: a snapshot rewrite plus an fsynced WAL append
-  per trial) against the same session with no checkpoint at all.  CI
+  crash-safe checkpoint (fsynced WAL appends per probe and per trial plus
+  an O(1) snapshot rewrite per trial) against the same session with no
+  checkpoint at all.  CI
   gates ``overhead_fraction <= 0.10`` — durability must stay under 10%
   of session wall time.  The cell also re-asserts the subsystem's core
   promise before any timing is trusted: the checkpointed run and a
@@ -80,7 +80,7 @@ def _run(checkpoint=None):
 
 
 def _quick_cell(repeats):
-    """Time plain vs checkpointed(every=1) runs; assert exact identity.
+    """Time plain vs checkpointed runs; assert exact identity.
 
     The two arms alternate within each repeat (plain, then checkpointed),
     so slow drift in machine load lands on both arms alike instead of on
@@ -95,9 +95,7 @@ def _quick_cell(repeats):
             plain_result = _run()
             plain_s = min(plain_s, time.perf_counter() - start)
 
-            checkpoint = CheckpointConfig(
-                os.path.join(scratch, f"bench-{repeat}.ckpt"), every_n_trials=1
-            )
+            checkpoint = CheckpointConfig(os.path.join(scratch, f"bench-{repeat}.ckpt"))
             start = time.perf_counter()
             ckpt_result = _run(checkpoint=checkpoint)
             ckpt_s = min(ckpt_s, time.perf_counter() - start)
@@ -150,7 +148,6 @@ def run_suite(quick=False):
             "n_initial": N_INITIAL,
             "seed": SEED,
             "timing_repeats": repeats,
-            "every_n_trials": 1,
         },
         "checkpoint": {},
     }

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Crash-safe tuning: checkpoint a session, kill it mid-run, resume exactly.
 
-Runs the BO tuner with a crash-consistent checkpoint (fsynced write-ahead
-log + atomic snapshot), simulates a process crash partway through, then
+Runs the BO tuner with a crash-consistent checkpoint (an fsynced
+write-ahead log, the only record resume reads, plus a small atomic status
+snapshot), simulates a process crash partway through, then
 resumes from the checkpoint with freshly-built components — and shows the
 resumed result is bit-identical to an uninterrupted run of the same seed.
 
@@ -49,9 +50,7 @@ def main() -> None:
           f"best objective {baseline.best_objective:.4f}")
 
     with tempfile.TemporaryDirectory() as scratch:
-        checkpoint = CheckpointConfig(
-            os.path.join(scratch, "tune.ckpt"), every_n_trials=1
-        )
+        checkpoint = CheckpointConfig(os.path.join(scratch, "tune.ckpt"))
 
         # Same session, checkpointed — and killed after trial 11 records.
         session = TuningSession(
@@ -61,7 +60,8 @@ def main() -> None:
             session.run(env(), space, budget, seed=3, checkpoint=checkpoint)
         except ChaosKill:
             print("crashed the session at trial 11 "
-                  f"(WAL: {os.path.getsize(checkpoint.wal_path)} bytes)")
+                  f"(WAL: {os.path.getsize(checkpoint.wal_path)} bytes, "
+                  f"snapshot: {os.path.getsize(checkpoint.path)} bytes)")
 
         # A restarted process has nothing but the checkpoint: fresh
         # strategy, fresh environment.  Replay rebuilds all of it.

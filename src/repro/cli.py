@@ -170,14 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument(
         "--checkpoint", default=None, metavar="PATH",
-        help="checkpoint the session to PATH (snapshot) + PATH.wal "
-        "(per-probe write-ahead log) so a crashed run can be resumed "
-        "bit-identically with --resume",
-    )
-    tune.add_argument(
-        "--checkpoint-every", type=int, default=1, metavar="N",
-        help="refresh the checkpoint snapshot every N recorded trials "
-        "(the WAL is per-probe durable regardless; default 1)",
+        help="checkpoint the session to PATH.wal (per-probe write-ahead "
+        "log, the record --resume replays bit-identically) + PATH (a small "
+        "status snapshot refreshed every trial)",
     )
     tune.add_argument(
         "--resume", action="store_true",
@@ -355,9 +350,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         return 2
     if args.trial_log and not _parent_dir_ok(args.trial_log, "--trial-log"):
         return 2
-    if args.checkpoint_every < 1:
-        print("--checkpoint-every must be >= 1", file=sys.stderr)
-        return 2
     if args.resume and not args.checkpoint:
         print("--resume requires --checkpoint PATH", file=sys.stderr)
         return 2
@@ -458,30 +450,26 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     )
     budget = TuningBudget(max_trials=args.trials, max_wall_clock_s=max_wall_s)
     if args.checkpoint:
-        from repro.core import Checkpoint, CheckpointConfig, CheckpointError
+        from repro.core import CheckpointConfig, CheckpointError, CheckpointJournal
         from repro.core.session import TuningSession
 
-        checkpoint = CheckpointConfig(
-            args.checkpoint, every_n_trials=args.checkpoint_every
-        )
+        checkpoint = CheckpointConfig(args.checkpoint)
         session = TuningSession(strategy, executor=executor, callbacks=callbacks)
         try:
             if args.resume:
                 # The env/fleet is rebuilt from the CLI flags, so the seed
                 # must match the original run or the post-replay noise
                 # stream diverges silently — reject a mismatch up front.
-                try:
-                    recorded_seed = Checkpoint.load(args.checkpoint).meta.get("seed")
-                except CheckpointError:
-                    recorded_seed = None  # WAL-header fallback in restore()
-                if recorded_seed is not None and recorded_seed != args.seed:
+                journal = CheckpointJournal.load(checkpoint)
+                recorded_seed = journal.meta.get("seed")
+                if recorded_seed != args.seed:
                     print(
                         f"--resume: checkpoint was written with --seed "
                         f"{recorded_seed}; pass the same seed",
                         file=sys.stderr,
                     )
                     return 2
-                result = session.resume(checkpoint, env, space)
+                result = session.resume(journal, env, space)
             else:
                 result = session.run(
                     env, space, budget, seed=args.seed, checkpoint=checkpoint
@@ -543,9 +531,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         print(f"trial log: {args.trial_log}")
     if args.checkpoint:
         print(f"checkpoint: {args.checkpoint} "
-              f"({'resumed' if args.resume else 'written'}, "
-              f"snapshot every {args.checkpoint_every} trial"
-              f"{'s' if args.checkpoint_every != 1 else ''})")
+              f"({'resumed' if args.resume else 'written'})")
     print("configuration:")
     for knob, value in sorted(result.best_config.items()):
         print(f"  {knob:>20} = {value}")

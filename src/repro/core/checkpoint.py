@@ -6,20 +6,27 @@ memory, so a process crash at trial 180 of a 200-trial session used to
 throw the whole session away.  This module makes sessions durable with
 two artifacts per checkpoint path:
 
-- **an append-only write-ahead log** (``<path>.wal``, JSON lines): one
-  ``probe`` record per executor-level :meth:`SearchStrategy.measure`
-  call — the measurement that came back, at *pre-shard-scaling* values,
-  plus the environment's probe counters after the call — and one
-  ``trial`` record per recorded trial (the divergence check).  Each
-  record is flushed and ``fsync``'d before the session acts on the
-  result, so the log is always consistent up to its last complete line;
-- **an atomic snapshot** (``<path>``, single JSON document rewritten via
-  ``mkstemp`` + ``os.replace`` like
-  :class:`~repro.core.transfer.HistoryRepository`): session metadata
-  (strategy, seed, budget, space/executor fingerprints), the fully
-  serialised :class:`~repro.core.trial.TrialHistory`, environment probe
-  counters, and the strategy's :meth:`~SearchStrategy.snapshot_state`
-  audit payload, refreshed every ``every_n_trials`` recorded trials.
+- **an append-only write-ahead log** (``<path>.wal``, JSON lines), the
+  only durable record of the session: one ``header`` record (format
+  version and session metadata — strategy, seed, budget, space/executor
+  fingerprints), one ``probe`` record per executor-level
+  :meth:`SearchStrategy.measure` call — the measurement that came back,
+  at *pre-shard-scaling* values, plus the environment's probe counters
+  after the call — and one ``trial`` record per recorded trial holding
+  the full :meth:`~repro.core.trial.Trial.to_payload`.  Each record is
+  flushed and ``fsync``'d before the session acts on the result, so the
+  log is always consistent up to its last complete line;
+- **an atomic snapshot** (``<path>``, one small JSON document rewritten
+  via ``mkstemp`` + ``os.replace`` like
+  :class:`~repro.core.transfer.HistoryRepository`) at session start,
+  after every live trial and at session end.  Its size does not grow
+  with the trial count: status, the WAL position (trial and probe
+  counts), the history's running ledgers and events
+  (:meth:`~repro.core.trial.TrialHistory.ledger_payload`), environment
+  probe counters, and the strategy's
+  :meth:`~SearchStrategy.snapshot_state` audit payload.
+  :meth:`Checkpoint.load` joins it with the WAL's trial records for
+  inspection; resume never reads it.
 
 Resume is **replay**, not state surgery: the loop restarts from trial
 zero with the same seed and re-executes every deterministic proposal,
@@ -30,19 +37,21 @@ their hyper-refit cadence, incumbents, executor free-lists, scheduler
 cursors, cancellation billing — is thereby reconstructed *bit-identical*
 by construction, which is exactly the property snapshot-restoring a GP's
 Cholesky factors cannot promise (``extend`` matches a refit only to
-~1e-8).  Once the log is exhausted the session falls through to live
-probing and keeps appending, so kill → resume → kill → resume chains
-work, and any durable WAL prefix yields a continuation bit-identical to
-the uninterrupted run.
+~1e-8).  Every replayed trial is checked against its WAL record.  Once
+the log is exhausted the session falls through to live probing and
+keeps appending, so kill → resume → kill → resume chains work, and any
+durable WAL prefix yields a continuation bit-identical to the
+uninterrupted run.
 
 Torn writes: a crash can leave a partial final WAL line.  On load, the
 log is parsed up to its last durable record; everything after the first
 torn or corrupt line is moved to a ``<path>.wal.quarantine`` sidecar
 (with one warning naming the file) and the log is truncated there.  The
 lost suffix costs nothing but the re-probe of its measurements — the
-continuation is still bit-identical.  A corrupt snapshot falls back to
-the WAL's header record; only when both are unreadable does resume fail,
-with a named :class:`CheckpointError`, never a raw decoder traceback.
+continuation is still bit-identical.  A missing or corrupt snapshot does
+not affect resume at all; a missing WAL, an unreadable header record or
+a version mismatch fails with a named :class:`CheckpointError`, never a
+raw decoder traceback.
 """
 
 from __future__ import annotations
@@ -52,9 +61,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
-from typing import IO, List, Optional, Sequence
-
-import numpy as np
+from typing import IO, List, Optional
 
 from repro.configspace import ConfigDict, ConfigSpace
 from repro.core.strategy import SearchStrategy, TuningBudget
@@ -66,7 +73,7 @@ from repro.core.trial import (
 )
 
 #: Bump on any incompatible change to the snapshot or WAL record layout.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -75,26 +82,20 @@ class CheckpointError(RuntimeError):
 
 @dataclass(frozen=True)
 class CheckpointConfig:
-    """Where and how often a session checkpoints.
+    """Where a session checkpoints.
 
     ``path`` is the snapshot file; the write-ahead log lives beside it at
-    ``path + ".wal"``.  ``every_n_trials`` is the snapshot refresh
-    cadence — the WAL is per-probe durable regardless, so the cadence
-    only bounds how stale the *inspectable* snapshot may be, never how
-    much work a crash loses.  ``fsync=False`` trades the per-record
+    ``path + ".wal"``.  ``fsync=False`` trades the per-record
     ``os.fsync`` for OS-buffered durability (a crash of the machine, not
     just the process, may then lose the tail).
     """
 
     path: str
-    every_n_trials: int = 1
     fsync: bool = True
 
     def __post_init__(self) -> None:
         if not self.path:
             raise ValueError("checkpoint path must be non-empty")
-        if self.every_n_trials < 1:
-            raise ValueError("every_n_trials must be >= 1")
 
     @property
     def wal_path(self) -> str:
@@ -194,8 +195,14 @@ def _read_wal_records(wal_path: str):
     written newline-included in one buffered write, so a missing newline
     means the write was cut short) onward is the torn tail.
     """
-    with open(wal_path, "rb") as handle:
-        data = handle.read()
+    try:
+        with open(wal_path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise CheckpointError(
+            f"no write-ahead log at {wal_path!r} ({exc.strerror}): nothing "
+            f"to resume from"
+        ) from None
     records: List[dict] = []
     offset = 0
     torn = b""
@@ -215,6 +222,32 @@ def _read_wal_records(wal_path: str):
         records.append(record)
         offset = newline + 1
     return records, offset, torn
+
+
+def _header_meta(wal_path: str, records: List[dict]) -> dict:
+    """Session metadata from the WAL's header record, version-checked."""
+    header = records[0] if records else {}
+    is_header = header.get("type") == "header"
+    if is_header and header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint WAL {wal_path!r} has version "
+            f"{header.get('version')!r}; this build supports version "
+            f"{CHECKPOINT_VERSION}"
+        )
+    if not is_header or not isinstance(header.get("meta"), dict):
+        raise CheckpointError(
+            f"checkpoint WAL {wal_path!r}: the header record is missing or "
+            f"unreadable"
+        )
+    return dict(header["meta"])
+
+
+def _field(document: dict, key: str, kind):
+    """``document[key]``, which must be an instance of ``kind``."""
+    value = document[key]
+    if not isinstance(value, kind):
+        raise TypeError(f"{key!r} is a {type(value).__name__}")
+    return value
 
 
 def _atomic_write_text(path: str, text: str, fsync: bool = True) -> None:
@@ -242,12 +275,14 @@ def _atomic_write_text(path: str, text: str, fsync: bool = True) -> None:
 
 @dataclass
 class Checkpoint:
-    """A loaded snapshot, for inspection (``repro`` never mutates it).
+    """A loaded checkpoint, for inspection (``repro`` never mutates it).
 
-    ``history`` is the fully deserialised trial history as of the last
-    snapshot refresh; ``wal_probes`` / ``wal_trials`` count the durable
-    WAL records, which may run ahead of the snapshot (the WAL is
-    per-probe durable, the snapshot refreshes every N trials).
+    ``meta`` comes from the WAL header.  ``history`` is the trial history
+    as of the last snapshot refresh: the snapshot's ledgers joined with
+    the first ``trials`` WAL trial records.  ``wal_probes`` /
+    ``wal_trials`` count the durable WAL records, which may run ahead of
+    the snapshot (a crash between a trial's WAL append and the snapshot
+    refresh, or a resume killed while still replaying).
     """
 
     version: int
@@ -261,40 +296,45 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: str) -> "Checkpoint":
-        """Load ``path`` (and its WAL) for offline inspection."""
-        config = CheckpointConfig(path)
+        """Load ``path`` and its WAL; any malformed part is a CheckpointError."""
+        wal_path = CheckpointConfig(path).wal_path
+        records, _, _ = _read_wal_records(wal_path)
+        meta = _header_meta(wal_path, records)
+        trials = [r.get("trial") for r in records if r["type"] == "trial"]
         try:
             with open(path) as handle:
                 snapshot = json.load(handle)
-            if not isinstance(snapshot, dict):
-                raise ValueError("snapshot is not a JSON object")
+            version = _field(snapshot, "version", int)
+            if version != CHECKPOINT_VERSION:
+                raise CheckpointError(
+                    f"checkpoint {path!r} has version {version!r}; this build "
+                    f"supports version {CHECKPOINT_VERSION}"
+                )
+            count = _field(snapshot, "trials", int)
+            if not 0 <= count <= len(trials):
+                raise ValueError(
+                    f"the snapshot counts {count} trials but the write-ahead "
+                    f"log holds {len(trials)}"
+                )
+            history = TrialHistory.from_payload(
+                {**_field(snapshot, "ledgers", dict), "trials": trials[:count]}
+            )
+            return cls(
+                version=version,
+                meta=meta,
+                status=_field(snapshot, "status", str),
+                history=history,
+                strategy_state=_field(snapshot, "strategy_state", (dict, type(None))),
+                env_counters=_field(snapshot, "env_counters", dict),
+                wal_probes=sum(1 for r in records if r["type"] == "probe"),
+                wal_trials=len(trials),
+            )
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from None
-        except ValueError as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
-                f"corrupt checkpoint snapshot {path!r}: {exc}"
+                f"malformed checkpoint {path!r}: {exc!r}"
             ) from None
-        version = snapshot.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path!r} has version {version!r}; this build "
-                f"supports version {CHECKPOINT_VERSION}"
-            )
-        wal_probes = wal_trials = 0
-        if os.path.exists(config.wal_path):
-            records, _, _ = _read_wal_records(config.wal_path)
-            wal_probes = sum(1 for r in records if r.get("type") == "probe")
-            wal_trials = sum(1 for r in records if r.get("type") == "trial")
-        return cls(
-            version=int(version),
-            meta=dict(snapshot.get("meta", {})),
-            status=str(snapshot.get("status", "unknown")),
-            history=TrialHistory.from_payload(snapshot["history"]),
-            strategy_state=snapshot.get("strategy_state"),
-            env_counters=dict(snapshot.get("env_counters", {})),
-            wal_probes=wal_probes,
-            wal_trials=wal_trials,
-        )
 
 
 class CheckpointJournal:
@@ -313,12 +353,13 @@ class CheckpointJournal:
         config: CheckpointConfig,
         meta: dict,
         probes: Optional[List[dict]] = None,
-        trials: Optional[List[dict]] = None,
+        trials: Optional[List[str]] = None,
         append_offset: Optional[int] = None,
     ) -> None:
         self.config = config
         self.meta = meta
         self._probes = list(probes or [])
+        # JSON encodings of the WAL's trial payloads (the replay region).
         self._trials = list(trials or [])
         self._cursor = 0
         self._probe_count = len(self._probes)
@@ -329,7 +370,7 @@ class CheckpointJournal:
 
     @classmethod
     def create(cls, config: CheckpointConfig, meta: dict) -> "CheckpointJournal":
-        """Start a fresh checkpoint: header-only WAL + initial snapshot.
+        """Start a fresh checkpoint: a WAL holding only its header record.
 
         Any existing checkpoint at the path is overwritten — starting a
         new session at the same path means the old session's state is no
@@ -346,19 +387,14 @@ class CheckpointJournal:
 
     @classmethod
     def load(cls, config: CheckpointConfig) -> "CheckpointJournal":
-        """Open an existing checkpoint for resume.
+        """Open an existing checkpoint for resume, reading only its WAL.
 
         Reads the durable WAL prefix (quarantining and truncating any
-        torn/corrupt tail), takes session metadata from the snapshot —
-        falling back to the WAL header when the snapshot itself is
-        corrupt — and positions the journal to replay every durable probe
-        record before appending live ones.
+        torn/corrupt tail), takes session metadata from the WAL header,
+        and positions the journal to replay every durable probe record
+        before appending live ones.
         """
         wal_path = config.wal_path
-        if not os.path.exists(wal_path):
-            raise CheckpointError(
-                f"no write-ahead log at {wal_path!r}: nothing to resume from"
-            )
         records, durable_offset, torn = _read_wal_records(wal_path)
         if torn:
             with open(config.quarantine_path, "ab") as sidecar:
@@ -373,67 +409,12 @@ class CheckpointJournal:
                 f"durable record",
                 stacklevel=2,
             )
-        header = records[0] if records and records[0].get("type") == "header" else None
-        if header is not None and header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint WAL {wal_path!r} has version "
-                f"{header.get('version')!r}; this build supports version "
-                f"{CHECKPOINT_VERSION}"
-            )
-        meta = cls._load_meta(config, header)
-        probes = [r for r in records if r.get("type") == "probe"]
-        trials = [r for r in records if r.get("type") == "trial"]
+        meta = _header_meta(wal_path, records)
+        probes = [r for r in records if r["type"] == "probe"]
+        trials = [json.dumps(r.get("trial")) for r in records if r["type"] == "trial"]
         return cls(config, meta, probes, trials, append_offset=durable_offset)
 
-    @staticmethod
-    def _load_meta(config: CheckpointConfig, header: Optional[dict]) -> dict:
-        """Session metadata from the snapshot, else the WAL header."""
-        snapshot_error = None
-        try:
-            with open(config.path) as handle:
-                snapshot = json.load(handle)
-            if not isinstance(snapshot, dict) or "meta" not in snapshot:
-                raise ValueError("snapshot is not a checkpoint object")
-            version = snapshot.get("version")
-            if version != CHECKPOINT_VERSION:
-                raise CheckpointError(
-                    f"checkpoint {config.path!r} has version {version!r}; "
-                    f"this build supports version {CHECKPOINT_VERSION}"
-                )
-            return dict(snapshot["meta"])
-        except CheckpointError:
-            raise
-        except (OSError, ValueError) as exc:
-            snapshot_error = exc
-        if header is not None and isinstance(header.get("meta"), dict):
-            warnings.warn(
-                f"{config.path}: unreadable checkpoint snapshot "
-                f"({snapshot_error}); recovering session metadata from the "
-                f"write-ahead log header",
-                stacklevel=3,
-            )
-            return dict(header["meta"])
-        raise CheckpointError(
-            f"checkpoint {config.path!r} is unreadable ({snapshot_error}) and "
-            f"its write-ahead log has no header record to recover from"
-        )
-
     # -- replay ------------------------------------------------------------
-
-    @property
-    def replaying(self) -> bool:
-        """True while durable probe records remain to be replayed."""
-        return self._cursor < len(self._probes)
-
-    @property
-    def preloaded_trials(self) -> int:
-        """Number of trial records loaded from the WAL (the replay region)."""
-        return len(self._trials)
-
-    @property
-    def probe_count(self) -> int:
-        """Total probe records, preloaded plus appended this session."""
-        return self._probe_count
 
     def next_probe_record(self) -> Optional[dict]:
         """The next probe record to replay, or None once live."""
@@ -498,48 +479,23 @@ class CheckpointJournal:
     def on_trial(self, trial: Trial) -> bool:
         """Record (or, in the replay region, verify) one recorded trial.
 
-        Returns True for a live trial — the recorder refreshes the
-        snapshot on live trials only, so replay never moves the snapshot
-        backwards.  A replayed trial that disagrees with its WAL record
-        means the replay diverged; fail loudly.
+        Returns True for a live trial, whose full payload is appended to
+        the WAL — the recorder refreshes the snapshot on live trials
+        only (a replayed trial is already in the log).  A replayed trial
+        whose payload differs from its WAL record in any field means the
+        replay diverged; fail loudly.  Payloads compare by their JSON
+        encodings, so a NaN field equals itself.
         """
+        payload = trial.to_payload()
         if trial.index < len(self._trials):
-            recorded = self._trials[trial.index]
-            if (
-                recorded.get("cost") != trial.cumulative_cost_s
-                or recorded.get("wall") != trial.cumulative_wall_clock_s
-                or recorded.get("objective") != trial.objective
-            ):
+            replayed, recorded = json.dumps(payload), self._trials[trial.index]
+            if replayed != recorded:
                 raise CheckpointError(
                     f"resume diverged at trial {trial.index}: replay produced "
-                    f"(objective={trial.objective!r}, "
-                    f"cost={trial.cumulative_cost_s!r}, "
-                    f"wall={trial.cumulative_wall_clock_s!r}) but the "
-                    f"write-ahead log recorded "
-                    f"(objective={recorded.get('objective')!r}, "
-                    f"cost={recorded.get('cost')!r}, "
-                    f"wall={recorded.get('wall')!r})"
+                    f"{replayed} but the write-ahead log recorded {recorded}"
                 )
             return False
-        self._append(
-            {
-                "type": "trial",
-                "index": trial.index,
-                "launch": trial.launch_index,
-                "round": trial.round_index,
-                "shard": trial.shard,
-                "objective": trial.objective,
-                "cost": trial.cumulative_cost_s,
-                "wall": trial.cumulative_wall_clock_s,
-            }
-        )
-        self._trials.append(
-            {
-                "objective": trial.objective,
-                "cost": trial.cumulative_cost_s,
-                "wall": trial.cumulative_wall_clock_s,
-            }
-        )
+        self._append({"type": "trial", "trial": payload})
         return True
 
     def write_snapshot(
@@ -549,7 +505,7 @@ class CheckpointJournal:
         env_counters: dict,
         status: str = "running",
     ) -> None:
-        """Atomically rewrite the snapshot document."""
+        """Atomically rewrite the snapshot document (its size is O(1))."""
         # An unserialisable audit payload must never take the checkpoint
         # down with it — the snapshot is forensics, the WAL is the restore
         # path.  The document is encoded once; only when that fails is it
@@ -562,11 +518,10 @@ class CheckpointJournal:
             state = bad_state
         document = {
             "version": CHECKPOINT_VERSION,
-            "meta": self.meta,
             "status": status,
             "trials": len(history),
             "probes": self._probe_count,
-            "history": history.to_payload(),
+            "ledgers": history.ledger_payload(),
             "env_counters": env_counters,
             "strategy_state": state,
         }
@@ -621,8 +576,7 @@ class _CheckpointRecorder:
         pass
 
     def on_trial_end(self, trial: Trial) -> None:
-        live = self._journal.on_trial(trial)
-        if live and (trial.index + 1) % self._journal.config.every_n_trials == 0:
+        if self._journal.on_trial(trial):
             self._journal.write_snapshot(
                 self._session.history,
                 self._session.strategy,

@@ -950,10 +950,11 @@ class TuningSession:
         given the pool wins for dispatch.
 
         ``checkpoint`` (a :class:`~repro.core.checkpoint.CheckpointConfig`
-        or a bare path) makes the session durable: every probe is logged
-        to a write-ahead log before the loop acts on it and the snapshot
-        refreshes every ``every_n_trials`` recorded trials, so a crashed
-        process can pick the session back up with :meth:`resume`.
+        or a bare path) makes the session durable: every probe and every
+        recorded trial is logged to a write-ahead log before the loop acts
+        on it, and a small snapshot of the running ledgers refreshes after
+        every trial, so a crashed process can pick the session back up
+        with :meth:`resume` (which reads only the log).
         Starting fresh at a path *overwrites* any previous checkpoint
         there (use :meth:`restore`/:meth:`resume` to continue one).
         An already-loaded :class:`CheckpointJournal` continues its replay
@@ -1083,7 +1084,7 @@ class TuningSession:
 
     def restore(
         self,
-        checkpoint: Union[CheckpointConfig, str],
+        checkpoint: Union[CheckpointConfig, CheckpointJournal, str],
         env: Optional[TrainingEnvironment],
         space: ConfigSpace,
     ) -> "TuningSession":
@@ -1101,15 +1102,18 @@ class TuningSession:
         bit-identically, and the continuation keeps appending to the same
         write-ahead log.  After :meth:`restore`, drive the session with
         :meth:`step`/:meth:`finish` as usual (or call :meth:`resume` to
-        do all three).
+        do all three).  Only the write-ahead log is read; an already
+        loaded :class:`CheckpointJournal` is used as it is.
         """
-        config = (
-            checkpoint
-            if isinstance(checkpoint, CheckpointConfig)
-            else CheckpointConfig(checkpoint)
-        )
-        journal = CheckpointJournal.load(config)
-        meta = journal.meta
+        if isinstance(checkpoint, CheckpointJournal):
+            journal = checkpoint
+        else:
+            journal = CheckpointJournal.load(
+                checkpoint
+                if isinstance(checkpoint, CheckpointConfig)
+                else CheckpointConfig(checkpoint)
+            )
+        config, meta = journal.config, journal.meta
         if meta.get("strategy") != self.strategy.name:
             raise CheckpointError(
                 f"checkpoint {config.path!r} was written by strategy "
@@ -1139,7 +1143,7 @@ class TuningSession:
 
     def resume(
         self,
-        checkpoint: Union[CheckpointConfig, str],
+        checkpoint: Union[CheckpointConfig, CheckpointJournal, str],
         env: Optional[TrainingEnvironment],
         space: ConfigSpace,
     ) -> TuningResult:

@@ -339,6 +339,12 @@ class TrialHistory:
         """
         return {
             "trials": [trial.to_payload() for trial in self._trials],
+            **self.ledger_payload(),
+        }
+
+    def ledger_payload(self) -> dict:
+        """:meth:`to_payload` without ``trials``: the running ledgers and events."""
+        return {
             "total_cost_s": self.total_cost_s,
             "total_wall_clock_s": self.total_wall_clock_s,
             "cancelled_cost_s": self.cancelled_cost_s,

@@ -17,7 +17,8 @@ a sweepable experiment:
 - :func:`kill_resume_sweep` — the full matrix: for each kill index, crash
   a fresh session, resume it (through any further kill points — chained
   crashes model a process that keeps dying), and compare fingerprints
-  against the baseline run;
+  against the baseline run — and the crashed checkpoint's inspected
+  history against the baseline's trials;
 - :func:`tear_wal` — torn-write injection: chop bytes off the end of the
   write-ahead log to simulate a crash mid-``write(2)``;
 - :func:`result_fingerprint` — the canonical JSON identity of a result
@@ -33,7 +34,7 @@ import os
 from typing import Callable, List, Optional, Sequence
 
 from repro.configspace import ConfigSpace
-from repro.core.checkpoint import CheckpointConfig
+from repro.core.checkpoint import Checkpoint, CheckpointConfig
 from repro.core.session import SessionCallback, TuningSession
 from repro.core.strategy import TuningBudget, TuningResult
 
@@ -215,13 +216,18 @@ def kill_resume_sweep(
 
     ``kill_points=None`` sweeps *every* trial index of the baseline run.
     Returns one record per kill point:
-    ``{"kill_at", "killed", "identical", "trials"}`` — ``identical`` is
-    the fingerprint equality against the uninterrupted baseline.
+    ``{"kill_at", "killed", "saved", "prefix", "identical", "trials"}`` —
+    ``saved`` counts the trials :meth:`Checkpoint.load` reads back from
+    the crashed checkpoint, ``prefix`` is whether they equal the
+    baseline's first ``saved`` trials, and ``identical`` is the
+    fingerprint equality of the resumed run against the uninterrupted
+    baseline.
     """
     baseline = run_baseline(
         strategy_factory, executor_factory, env_factory, space, budget, seed=seed
     )
     expected = result_fingerprint(baseline)
+    expected_trials = [json.dumps(trial.to_payload()) for trial in baseline.history]
     if kill_points is None:
         kill_points = range(len(baseline.history))
     records = []
@@ -239,6 +245,10 @@ def kill_resume_sweep(
             kill_at,
             seed=seed,
         )
+        saved = [
+            json.dumps(trial.to_payload())
+            for trial in Checkpoint.load(checkpoint.path).history
+        ]
         resumed = resume_session(
             strategy_factory, executor_factory, env_factory, space, checkpoint
         )
@@ -246,6 +256,8 @@ def kill_resume_sweep(
             {
                 "kill_at": int(kill_at),
                 "killed": bool(killed),
+                "saved": len(saved),
+                "prefix": saved == expected_trials[: len(saved)],
                 "identical": result_fingerprint(resumed) == expected,
                 "trials": len(resumed.history),
             }

@@ -87,6 +87,12 @@ EXECUTOR_CELLS = {
 }
 
 
+def _saved_prefix(record):
+    """The crashed checkpoint reads back exactly the baseline's first
+    ``kill_at + 1`` trials: the recorder persists a trial before the kill."""
+    return record["prefix"] and record["saved"] == record["kill_at"] + 1
+
+
 class TestKillResumeMatrix:
     @pytest.mark.parametrize("cell", sorted(EXECUTOR_CELLS))
     def test_bo_session_resumes_bit_identical(self, cell, tmp_path):
@@ -103,6 +109,7 @@ class TestKillResumeMatrix:
         )
         assert [r["killed"] for r in records] == [True, True, True]
         assert all(r["identical"] for r in records), records
+        assert all(_saved_prefix(r) for r in records), records
         assert all(r["trials"] == 10 for r in records)
 
     def test_every_index_sweep_random_search(self, tmp_path):
@@ -119,6 +126,7 @@ class TestKillResumeMatrix:
         assert len(records) == 8
         assert all(r["killed"] for r in records)
         assert all(r["identical"] for r in records), records
+        assert all(_saved_prefix(r) for r in records), records
 
     def test_kill_resume_kill_chain(self, tmp_path):
         executor_factory, environment_factory = EXECUTOR_CELLS["serial"]
@@ -201,6 +209,7 @@ class TestKillResumeMatrix:
             seed=9,
         )
         assert all(r["identical"] for r in records), records
+        assert all(_saved_prefix(r) for r in records), records
 
 
 class TestKillSwitch:

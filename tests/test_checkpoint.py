@@ -1,14 +1,17 @@
 """Tests for the checkpoint/resume subsystem's serialization and recovery.
 
-Covers the torn-write satellite end to end: payload round-trips at the
-bit level, WAL torn-tail quarantine, corrupt/truncated/empty snapshots,
-version mismatches, divergence detection, the durable trial log, and the
+Covers torn writes end to end: payload round-trips at the bit level,
+WAL torn-tail quarantine, corrupt/truncated/empty/deleted snapshots (which
+resume never reads), malformed snapshots and WAL records, version
+mismatches, divergence detection, the durable trial log, and the
 repository quarantine — every failure produces a clean named error or
-recovers to the last durable record, never a raw ``json.JSONDecodeError``.
+recovers to the last durable record, never a raw ``json.JSONDecodeError``
+or ``KeyError``.
 """
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +58,28 @@ def space():
 def make_env(seed=0):
     return TrainingEnvironment(
         get_workload("resnet50-imagenet"), homogeneous(NODES), seed=seed
+    )
+
+
+def rewrite_wal_header(ckpt, **changes):
+    """Edit the WAL's header record in place (``meta`` keys merge)."""
+    with open(ckpt.wal_path) as handle:
+        lines = handle.read().splitlines()
+    header = json.loads(lines[0])
+    header["meta"].update(changes.pop("meta", {}))
+    header.update(changes)
+    lines[0] = json.dumps(header)
+    with open(ckpt.wal_path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def cli_tune(path, *extra):
+    from repro.cli import main as cli_main
+
+    return cli_main(
+        ["tune", "--workload", "resnet50-imagenet", "--nodes", str(NODES),
+         "--trials", "5", "--strategy", "random", "--seed", "1",
+         "--checkpoint", path, *extra]
     )
 
 
@@ -136,21 +161,55 @@ def test_corrupt_wal_middle_quarantines_suffix(tmp_path):
     assert result.history.to_payload() == baseline.history.to_payload()
 
 
+def without_warnings(call):
+    """``call()``, failing on any warning it emits (a killed session's
+    unclosed WAL handle may be collected meanwhile; that one is not)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", ResourceWarning)
+        return call()
+
+
+def resume_without_warnings(ckpt):
+    return without_warnings(
+        lambda: TuningSession(RandomSearch()).resume(ckpt, make_env(), space())
+    )
+
+
 def test_truncated_snapshot_falls_back_to_wal_header(tmp_path):
     ckpt, baseline = run_checkpointed(tmp_path)
     with open(ckpt.path, "w") as handle:
-        handle.write('{"version": 1, "meta"')  # torn snapshot write
-    with pytest.warns(UserWarning, match="recovering session metadata"):
-        result = TuningSession(RandomSearch()).resume(ckpt, make_env(), space())
+        handle.write('{"version": 2, "trials"')  # torn snapshot write
+    # Resume reads only the WAL: a torn snapshot costs nothing, not even
+    # a warning.
+    result = resume_without_warnings(ckpt)
     assert result.history.to_payload() == baseline.history.to_payload()
 
 
 def test_empty_snapshot_falls_back_to_wal_header(tmp_path):
     ckpt, baseline = run_checkpointed(tmp_path)
     open(ckpt.path, "w").close()
-    with pytest.warns(UserWarning, match="recovering session metadata"):
-        result = TuningSession(RandomSearch()).resume(ckpt, make_env(), space())
+    result = resume_without_warnings(ckpt)
     assert result.history.to_payload() == baseline.history.to_payload()
+
+
+def test_deleted_snapshot_resumes_identically_without_warning(tmp_path):
+    from repro.core.session import SerialExecutor
+    from repro.harness.chaos import (
+        result_fingerprint,
+        resume_session,
+        run_baseline,
+        run_with_kill,
+    )
+
+    budget = TuningBudget(max_trials=8)
+    args = (lambda: MLConfigTuner(n_initial=4), SerialExecutor, make_env, space())
+    baseline = run_baseline(*args, budget, seed=3)
+    ckpt = CheckpointConfig(str(tmp_path / "s.ckpt"))
+    assert run_with_kill(*args, budget, ckpt, kill_at=4, seed=3)
+    os.unlink(ckpt.path)
+    resumed = without_warnings(lambda: resume_session(*args, ckpt))
+    assert result_fingerprint(resumed) == result_fingerprint(baseline)
 
 
 def test_missing_wal_is_a_named_error(tmp_path):
@@ -161,38 +220,123 @@ def test_missing_wal_is_a_named_error(tmp_path):
 
 def test_both_snapshot_and_header_unreadable_is_a_named_error(tmp_path):
     ckpt = CheckpointConfig(str(tmp_path / "s.ckpt"))
-    open(ckpt.path, "w").close()
     with open(ckpt.wal_path, "w") as handle:
         handle.write("not json at all\n")
+    with pytest.warns(UserWarning, match="quarantined"):
+        with pytest.raises(CheckpointError, match="unreadable"):
+            TuningSession(RandomSearch()).resume(ckpt, make_env(), space())
+    # A parseable first record that is not a header is no better.
+    with open(ckpt.wal_path, "w") as handle:
+        handle.write('{"type": "probe", "k": 0}\n')
     with pytest.raises(CheckpointError, match="unreadable"):
         TuningSession(RandomSearch()).resume(ckpt, make_env(), space())
 
 
 def test_version_mismatch_is_a_named_error(tmp_path):
-    ckpt, _ = run_checkpointed(tmp_path)
-    with open(ckpt.path) as handle:
-        snapshot = json.load(handle)
-    snapshot["version"] = CHECKPOINT_VERSION + 1
-    with open(ckpt.path, "w") as handle:
-        json.dump(snapshot, handle)
-    with pytest.raises(CheckpointError, match="version"):
-        TuningSession(RandomSearch()).restore(ckpt, make_env(), space())
-    with pytest.raises(CheckpointError, match="version"):
-        Checkpoint.load(ckpt.path)
+    """A newer build's checkpoint and a v1 (snapshot-history) checkpoint
+    both fail with the named error: on restore, inspection and the CLI."""
+    for version in (CHECKPOINT_VERSION + 1, 1):
+        path = str(tmp_path / f"v{version}.ckpt")
+        assert cli_tune(path) == 0
+        ckpt = CheckpointConfig(path)
+        rewrite_wal_header(ckpt, version=version)
+        with pytest.raises(CheckpointError, match="version"):
+            TuningSession(RandomSearch()).restore(ckpt, make_env(), space())
+        with pytest.raises(CheckpointError, match="version"):
+            Checkpoint.load(ckpt.path)
+        assert cli_tune(path, "--resume") == 2
+        # The snapshot carries the version too; inspection checks it.
+        rewrite_wal_header(ckpt, version=CHECKPOINT_VERSION)
+        with open(ckpt.path) as handle:
+            snapshot = json.load(handle)
+        snapshot["version"] = version
+        with open(ckpt.path, "w") as handle:
+            json.dump(snapshot, handle)
+        with pytest.raises(CheckpointError, match="version"):
+            Checkpoint.load(ckpt.path)
 
 
 def test_wal_header_version_mismatch_is_a_named_error(tmp_path):
     ckpt, _ = run_checkpointed(tmp_path)
     os.unlink(ckpt.path)
-    with open(ckpt.wal_path) as handle:
-        lines = handle.read().splitlines()
-    header = json.loads(lines[0])
-    header["version"] = CHECKPOINT_VERSION + 1
-    lines[0] = json.dumps(header)
-    with open(ckpt.wal_path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointError, match="version"):
-        CheckpointJournal.load(ckpt)
+    for version in (CHECKPOINT_VERSION + 1, 1):
+        rewrite_wal_header(ckpt, version=version)
+        with pytest.raises(CheckpointError, match="version"):
+            CheckpointJournal.load(ckpt)
+
+
+def _drop(key):
+    return lambda document: document.pop(key)
+
+
+def _set(key, value):
+    return lambda document: document.__setitem__(key, value)
+
+
+def _ledgers(key, value):
+    return lambda document: document["ledgers"].__setitem__(key, value)
+
+
+def _trial_field(key, value):
+    return lambda document: document["trial"].__setitem__(key, value)
+
+
+#: (name, "snapshot" | "wal", edit): each edit leaves a parseable but
+#: malformed checkpoint.  WAL edits apply to the third trial record.
+MALFORMED = [
+    ("snapshot-no-ledgers", "snapshot", _drop("ledgers")),
+    ("snapshot-no-trials", "snapshot", _drop("trials")),
+    ("snapshot-no-status", "snapshot", _drop("status")),
+    ("snapshot-no-env-counters", "snapshot", _drop("env_counters")),
+    ("snapshot-no-strategy-state", "snapshot", _drop("strategy_state")),
+    ("snapshot-trials-not-int", "snapshot", _set("trials", "5")),
+    ("snapshot-ledgers-not-object", "snapshot", _set("ledgers", [1, 2])),
+    ("snapshot-status-not-str", "snapshot", _set("status", 3)),
+    ("snapshot-env-counters-not-object", "snapshot", _set("env_counters", [])),
+    ("snapshot-strategy-state-not-object", "snapshot", _set("strategy_state", 7)),
+    ("snapshot-ledger-missing", "snapshot",
+     lambda document: document["ledgers"].pop("total_cost_s")),
+    ("snapshot-ledger-not-number", "snapshot", _ledgers("total_cost_s", "x")),
+    ("snapshot-shard-ledger-not-pairs", "snapshot", _ledgers("cost_by_shard", [1])),
+    ("snapshot-event-not-object", "snapshot", _ledgers("events", [3])),
+    ("snapshot-ahead-of-wal", "snapshot", _set("trials", 99)),
+    ("snapshot-negative-trials", "snapshot", _set("trials", -1)),
+    ("wal-trial-no-payload", "wal", _drop("trial")),
+    ("wal-trial-payload-not-object", "wal", _set("trial", "x")),
+    ("wal-trial-no-measurement", "wal",
+     lambda document: document["trial"].pop("measurement")),
+    ("wal-trial-index-not-int", "wal", _trial_field("index", "two")),
+    ("wal-trial-measurement-not-object", "wal", _trial_field("measurement", 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "where,edit", [case[1:] for case in MALFORMED], ids=[c[0] for c in MALFORMED]
+)
+def test_malformed_checkpoint_is_a_named_error(tmp_path, where, edit):
+    path = str(tmp_path / "s.ckpt")
+    assert cli_tune(path) == 0
+    ckpt = CheckpointConfig(path)
+    if where == "snapshot":
+        with open(path) as handle:
+            snapshot = json.load(handle)
+        edit(snapshot)
+        with open(path, "w") as handle:
+            json.dump(snapshot, handle)
+    else:
+        with open(ckpt.wal_path) as handle:
+            lines = handle.read().splitlines()
+        rows = [i for i, line in enumerate(lines) if '"type": "trial"' in line]
+        record = json.loads(lines[rows[2]])
+        edit(record)
+        lines[rows[2]] = json.dumps(record)
+        with open(ckpt.wal_path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError):
+        Checkpoint.load(path)
+    # Resume reads only the WAL: a bad trial record is a divergence (exit
+    # 2), while a bad snapshot does not stop the resume.
+    assert cli_tune(path, "--resume") == (2 if where == "wal" else 0)
 
 
 # -- fingerprint/divergence validation ---------------------------------------
@@ -270,11 +414,7 @@ def test_executor_fingerprint_is_pinned_per_preset(factory, expected):
 
 def test_resume_with_different_seed_diverges_loudly(tmp_path):
     ckpt, _ = run_checkpointed(tmp_path, seed=1)
-    with open(ckpt.path) as handle:
-        snapshot = json.load(handle)
-    snapshot["meta"]["seed"] = 2  # simulate operator error
-    with open(ckpt.path, "w") as handle:
-        json.dump(snapshot, handle)
+    rewrite_wal_header(ckpt, meta={"seed": 2})  # simulate operator error
     session = TuningSession(RandomSearch())
     with pytest.raises(CheckpointError, match="diverged"):
         session.restore(ckpt, make_env(), space())
@@ -299,7 +439,9 @@ def test_checkpoint_load_reports_progress(tmp_path):
 
 
 def test_snapshot_cadence_bounds_snapshot_staleness(tmp_path):
-    ckpt = CheckpointConfig(str(tmp_path / "s.ckpt"), every_n_trials=4)
+    """The snapshot tracks every live trial: a kill right after trial 5
+    leaves a six-trial history in the running checkpoint."""
+    ckpt = CheckpointConfig(str(tmp_path / "s.ckpt"))
 
     class Kill(Exception):
         pass
@@ -318,10 +460,24 @@ def test_snapshot_cadence_bounds_snapshot_staleness(tmp_path):
             checkpoint=ckpt,
         )
     loaded = Checkpoint.load(ckpt.path)
-    # Snapshot refreshed at trial 4; WAL is per-probe durable beyond it.
-    assert len(loaded.history) == 4
+    assert len(loaded.history) == 6
     assert loaded.wal_trials == 6
     assert loaded.status == "running"
+    assert loaded.history.to_payload() == session.history.to_payload()
+
+
+def test_snapshot_size_does_not_grow_with_trials(tmp_path):
+    sizes = {}
+    for trials in (5, 40):
+        ckpt = CheckpointConfig(str(tmp_path / f"{trials}.ckpt"))
+        TuningSession(MLConfigTuner(n_initial=4)).run(
+            make_env(), space(), TuningBudget(max_trials=trials), seed=2,
+            checkpoint=ckpt,
+        )
+        assert len(Checkpoint.load(ckpt.path).history) == trials
+        sizes[trials] = os.path.getsize(ckpt.path)
+    # Equal up to the printed width of the ledger and hyper floats.
+    assert abs(sizes[40] - sizes[5]) <= 48, sizes
 
 
 def test_strategy_snapshot_state_is_recorded_for_bo(tmp_path):
@@ -398,8 +554,6 @@ def test_repository_quarantine_keeps_writes_working(tmp_path):
 def test_checkpoint_config_validation():
     with pytest.raises(ValueError):
         CheckpointConfig("")
-    with pytest.raises(ValueError):
-        CheckpointConfig("x.ckpt", every_n_trials=0)
     ckpt = CheckpointConfig("x.ckpt")
     assert ckpt.wal_path == "x.ckpt.wal"
     assert ckpt.quarantine_path == "x.ckpt.wal.quarantine"
