@@ -132,8 +132,7 @@ class FiniteDifferenceGP(GaussianProcess):
 
     Same starts, bounds, optimiser settings and best-of reduction as
     :class:`GaussianProcess`; L-BFGS-B gets only the marginal-likelihood
-    value and differences it itself.  Runs in-process (``fit_workers`` is
-    ignored).
+    value and differences it itself.
     """
 
     def _optimize_hyperparameters(self) -> None:

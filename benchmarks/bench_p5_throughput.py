@@ -1,6 +1,6 @@
 """P5 — vectorized proposal pipeline + process-parallel harness throughput.
 
-Four axes, one per layer this change touches:
+Three axes:
 
 - ``throughput`` — steady-state BO proposal latency (and candidates/sec at
   the tuner's default 512-candidate set) with the vectorized encoded
@@ -10,10 +10,6 @@ Four axes, one per layer this change touches:
   every surrogate-level optimisation, so the speedup isolates the
   candidate pipeline itself and is hardware-independent (both sides run on
   the same machine in the same process).
-- ``hyperfit`` — one full GP hyperparameter fit (multi-start L-BFGS-B)
-  with the restarts fanned across ``fit_workers`` processes vs in-process
-  serial.  Results are bit-identical; only wall-clock changes.  On a
-  single-core host the parallel arms show ~1x (see ``config.host_cpus``).
 - ``harness`` — one P1-style strategy-comparison sweep
   (``compare_strategies``) with its (strategy × repeat) cells fanned
   across ``n_jobs`` worker processes vs serial.  Cell results are
@@ -28,7 +24,9 @@ Run as a script to (re)generate the committed baseline::
     PYTHONPATH=src python benchmarks/bench_p5_throughput.py --quick   # CI smoke
 
 ``scripts/bench_report.py`` renders the JSON; CI gates on
-``throughput/n=64/speedup`` (same-machine ratio, hardware-independent).
+``throughput/n=64/speedup`` (same-machine ratio, hardware-independent) and
+on a live ``harness/p1-sweep/speedup`` floor.  GP hyperfit timing lives in
+P3 (``bench_p3_surrogate.py``): the multi-start restarts run in-process.
 """
 
 import argparse
@@ -51,8 +49,6 @@ from _reference import ScalarCandidateProposer
 from repro.configspace import ml_config_space
 from repro.core import TrialHistory, TuningBudget
 from repro.core.bo import BayesianProposer
-from repro.core.gp import GaussianProcess
-from repro.core.kernels import make_kernel
 from repro.mlsim import Measurement, TrainingConfig
 
 SCHEMA = "bench_p5_throughput/v1"
@@ -82,8 +78,7 @@ def time_propose(space, n, vectorized, repeats, seed=0):
     """Median steady-state proposal latency (ms) against a static history.
 
     ``refit_every`` is parked far out so the cells time the candidate
-    pipeline + scoring, not hyperparameter refits (those are the
-    ``hyperfit`` axis).
+    pipeline + scoring, not hyperparameter refits.
     """
     history = _history(space, n, seed=seed)
     proposer_cls = BayesianProposer if vectorized else ScalarCandidateProposer
@@ -100,24 +95,6 @@ def time_propose(space, n, vectorized, repeats, seed=0):
     for _ in range(repeats):
         start = time.perf_counter()
         proposer.propose(history, rng)
-        samples.append((time.perf_counter() - start) * 1e3)
-    return statistics.median(samples)
-
-
-def time_hyperfit(n, fit_workers, repeats, seed=0, dim=8, restarts=6):
-    """Median latency (ms) of one full multi-start hyperparameter fit."""
-    rng = np.random.default_rng(seed)
-    x = rng.random((n, dim))
-    y = np.sin(3.0 * x[:, 0]) + x[:, 1] ** 2 + 0.1 * rng.standard_normal(n)
-    samples = []
-    for _ in range(repeats):
-        gp = GaussianProcess(
-            kernel=make_kernel("matern52", dim),
-            restarts=restarts,
-            fit_workers=fit_workers,
-        )
-        start = time.perf_counter()
-        gp.fit(x, y)
         samples.append((time.perf_counter() - start) * 1e3)
     return statistics.median(samples)
 
@@ -222,9 +199,6 @@ def run_suite(quick=False, seed=0):
     space = ml_config_space(nodes)
     history_sizes = (16, 64) if quick else (16, 64, 256)
     propose_repeats = 9 if quick else 31
-    hyperfit_sizes = (64,) if quick else (64, 256)
-    worker_counts = (1, 2) if quick else (1, 2, 4)
-    hyperfit_repeats = 3 if quick else 5
 
     results = {
         "schema": SCHEMA,
@@ -238,7 +212,6 @@ def run_suite(quick=False, seed=0):
             "host_cpus": os.cpu_count(),
         },
         "throughput": {},
-        "hyperfit": {},
         "harness": {},
         "cache": {},
     }
@@ -257,24 +230,6 @@ def run_suite(quick=False, seed=0):
             f"vectorized {cell['vectorized_ms']:6.1f} ms  "
             f"speedup {cell['speedup']:5.2f}x  "
             f"({cell['vectorized_cps']:,.0f} cand/s)"
-        )
-
-    for n in hyperfit_sizes:
-        cell = {}
-        for workers in worker_counts:
-            cell[f"workers{workers}_ms"] = time_hyperfit(
-                n, workers, hyperfit_repeats, seed
-            )
-        for workers in worker_counts[1:]:
-            cell[f"speedup_w{workers}"] = (
-                cell["workers1_ms"] / cell[f"workers{workers}_ms"]
-            )
-        results["hyperfit"][f"n={n}"] = cell
-        print(
-            f"hyperfit n={n:>3}: "
-            + "  ".join(
-                f"w{w} {cell[f'workers{w}_ms']:7.1f} ms" for w in worker_counts
-            )
         )
 
     results["harness"]["p1-sweep"] = time_harness(quick, seed)

@@ -1,20 +1,14 @@
-"""Scaling the experiment harness: parallel cells, parallel fits, disk cache.
+"""Scaling the experiment harness: parallel cells and a disk cache.
 
-Three independent knobs make repeated evaluation sweeps scale with the
-hardware instead of with patience — none of them changes any result:
+Two independent knobs make repeated evaluation sweeps scale with the
+hardware instead of with patience — neither of them changes any result:
 
 1. ``compare_strategies(n_jobs=...)`` fans the independent
    (strategy × repeat) tuning sessions of a comparison across worker
    processes (:mod:`repro.harness.runner`).  ``n_jobs=None`` uses one
    process per CPU; results are identical to serial.
 
-2. ``MLConfigTuner(fit_workers=K)`` (CLI: ``--fit-workers K``) fans each
-   GP hyperparameter refit's multi-start L-BFGS-B restarts across ``K``
-   processes.  The same starts run either way and the best-of reduction
-   is order-independent, so the fitted hyperparameters are bit-identical
-   to serial.
-
-3. The experiment memoiser keeps a persistent JSON tier on disk (default
+2. The experiment memoiser keeps a persistent JSON tier on disk (default
    ``.repro_cache/`` under the working directory, relocatable via the
    ``REPRO_CACHE_DIR`` environment variable): a table cell an ``exp_*``
    function computed in *any* earlier run is loaded instead of recomputed.
@@ -45,12 +39,12 @@ def main() -> None:
     cluster = homogeneous(16)
     budget = TuningBudget(max_trials=16)
     strategies = {
-        "mlconfig-bo": lambda seed: MLConfigTuner(seed=seed, fit_workers=2),
+        "mlconfig-bo": lambda seed: MLConfigTuner(seed=seed),
         "random": lambda seed: RandomSearch(),
         "annealing": lambda seed: SimulatedAnnealing(seed=seed),
     }
 
-    # -- 1 + 2: cell-parallel comparison, process-parallel GP refits ------
+    # -- 1: cell-parallel comparison ------------------------------------
     for n_jobs in (1, None):  # None = one worker process per CPU
         start = time.perf_counter()
         comparison = compare_strategies(
@@ -66,7 +60,7 @@ def main() -> None:
                 f"of optimum"
             )
 
-    # -- 3: the persistent experiment cache ------------------------------
+    # -- 2: the persistent experiment cache ------------------------------
     clear_experiment_cache()
     start = time.perf_counter()
     exp_f5_scalability(node_counts=(8,), budget_trials=8)

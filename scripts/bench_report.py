@@ -27,8 +27,8 @@ Two subcommands:
     ``--min-value`` / ``--max-value`` gate on the current measurement
     alone (no baseline): fail when ``current < min_value`` or
     ``current > max_value``.  Use these for properties that must hold on
-    the runner itself — e.g. "parallel hyperfit beats serial at all" on a
-    multi-core CI machine, where a ratio against a baseline recorded on
+    the runner itself — e.g. "the parallel harness sweep is no slower than
+    serial" on a multi-core CI machine, where a ratio against a baseline recorded on
     different hardware would be meaningless.
 
     A gated metric missing from either JSON exits 2 with a message naming

@@ -231,11 +231,6 @@ class BayesianProposer:
         relative improvement.  Default ``"never"``: on this substrate an
         A/B comparison showed no benefit (see EXPERIMENTS.md commentary),
         and the recorded benchmarks use the raw scale.
-    fit_workers:
-        Fan each surrogate hyperparameter refit's multi-start L-BFGS-B
-        restarts across ``fit_workers`` processes (see
-        :class:`~repro.core.gp.GaussianProcess`); 1 = in-process serial,
-        bit-identical results either way.
     shard_cost_feature:
         Condition the ``"eipc"`` cost surrogate on the environment shard a
         trial ran on: the cost GP's input gains one extra dimension — the
@@ -284,7 +279,6 @@ class BayesianProposer:
         refit_every: int = 3,
         log_objective: str = "never",
         shard_cost_feature: bool = False,
-        fit_workers: int = 1,
         sparse_threshold: Optional[int] = 512,
         max_inducing: int = 256,
         prior_mean=None,
@@ -298,8 +292,6 @@ class BayesianProposer:
             raise ValueError("refit_every must be >= 1")
         if log_objective not in ("auto", "never"):
             raise ValueError("log_objective must be 'auto' or 'never'")
-        if fit_workers < 1:
-            raise ValueError("fit_workers must be >= 1")
         if sparse_threshold is not None and sparse_threshold < 4:
             raise ValueError("sparse_threshold must be >= 4 (or None)")
         if max_inducing < 4:
@@ -319,7 +311,6 @@ class BayesianProposer:
         self.refit_every = refit_every
         self.log_objective = log_objective
         self.shard_cost_feature = shard_cost_feature
-        self.fit_workers = fit_workers
         self.sparse_threshold = sparse_threshold
         self.max_inducing = max_inducing
         self.prior_mean = prior_mean
@@ -361,7 +352,6 @@ class BayesianProposer:
                 sparse_threshold=self.sparse_threshold,
                 max_inducing=self.max_inducing,
                 seed=seed,
-                fit_workers=self.fit_workers,
                 prior_mean=prior_mean,
             )
             self._factories[key] = factory

@@ -537,9 +537,13 @@ class CheckpointJournal:
         return _CheckpointRecorder(self, session)
 
     def close(self) -> None:
+        """Close the WAL handle; a later append reopens it at the end."""
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+            # The durable offset was applied at the first live append; a
+            # reopen must append after the records written since.
+            self._append_offset = None
 
 
 def _session_env_counters(session) -> dict:

@@ -8,10 +8,11 @@ Exact GP regression with a learned homoscedastic noise term:
   using analytic gradients (one Cholesky per step serves both the value
   and the full gradient) instead of scipy's finite-difference fallback,
   which costs an extra O(n^3) factorisation per hyperparameter per step.
-  The restart count is a constructor argument; the BO proposer's
-  surrogates get theirs from :meth:`SurrogateFactory.build`, which the
-  proposer's surrogate cache calls with ``restarts=0`` (one cold start)
-  on most refits — see :mod:`repro.core.bo`;
+  The restart count is a constructor argument, and the starts run one
+  after another in-process.  The BO proposer's surrogates get theirs from
+  :meth:`SurrogateFactory.build`, which the proposer's surrogate cache
+  calls with ``restarts=0`` (one cold start) on most refits — see
+  :mod:`repro.core.bo`;
 - targets standardised internally so kernel priors are scale-free.
 
 This is the surrogate model inside the BO tuner and the OtterTune-style
@@ -51,7 +52,7 @@ evaluates the LML and its gradient once, thousands of times per session.
   gradient contraction (:func:`~repro.core.kernels.ard_grad_dot`) reuses;
 - noise and jitter added in place on the diagonal of the one copy LAPACK
   factors (:func:`_chol_with_jitter`, also used by the posterior refresh,
-  the ``extend`` fallback and the sparse tier's inducing factor);
+  the ``extend`` fallback and a degenerate sparse-tier inducing Gram);
 - direct LAPACK ``dpotrf``/``dpotrs`` calls, without the scipy wrappers'
   finiteness checks.
 
@@ -65,12 +66,7 @@ which rounds differently from ``gemm``), and forming ``K^-1`` with
 
 from __future__ import annotations
 
-import copy
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from scipy import linalg, optimize
@@ -86,90 +82,15 @@ _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 #: reported gradient is not zero.
 _LOG_NOISE_BOUNDS = (-12.0, 0.0)
 
-#: An extension's Schur pivots must clear this fraction of the covariance
-#: diagonal scale, or the incremental path is declared degenerate and the
-#: factor is rebuilt with escalating jitter instead.
-_EXTEND_PIVOT_FLOOR = 1e-9
+#: A factor taken without jitter — an extension's Schur complement, or the
+#: sparse tier's inducing Gram — must have every pivot clear this fraction
+#: of the covariance diagonal scale, or it is declared degenerate and the
+#: matrix is refactored with escalating jitter instead.
+_PIVOT_FLOOR = 1e-9
 
 
 class GPFitError(RuntimeError):
     """Raised when the GP cannot be fit (degenerate data)."""
-
-
-def _hyperfit_one(task: tuple) -> Tuple[float, np.ndarray]:
-    """Run one L-BFGS-B restart of the marginal-likelihood optimisation.
-
-    Top-level (picklable) so restarts can fan out across a process pool;
-    the serial path runs the exact same function in-process, which is what
-    makes ``fit_workers > 1`` bit-identical to serial: every restart is a
-    pure function of its task tuple, and the best-of reduction happens in
-    start order either way.
-    """
-    kernel, x, z, noise_variance, fit_noise, bounds, start, scale = task
-    scratch = GaussianProcess(
-        kernel=kernel,
-        noise_variance=noise_variance,
-        fit_noise=fit_noise,
-        restarts=0,
-    )
-    scratch._x = x
-    scratch._z = z
-    scratch._noise_scale = scale
-    result = optimize.minimize(
-        lambda p: scratch._neg_log_marginal(p, jac=True),
-        start,
-        method="L-BFGS-B",
-        jac=True,
-        bounds=bounds,
-        options={"maxiter": 200},
-    )
-    return float(result.fun), result.x
-
-
-#: Persistent hyperfit worker pools, keyed by worker count and owner PID —
-#: the PID guard drops pools inherited through a fork (their workers
-#: belong to the parent and would dead-letter our submissions).
-_FIT_POOLS: Dict[int, ProcessPoolExecutor] = {}
-_FIT_POOLS_PID: Optional[int] = None
-
-
-def _fit_pool(workers: int) -> ProcessPoolExecutor:
-    global _FIT_POOLS_PID
-    if _FIT_POOLS_PID != os.getpid():
-        _FIT_POOLS.clear()
-        _FIT_POOLS_PID = os.getpid()
-    pool = _FIT_POOLS.get(workers)
-    if pool is None:
-        # Prefer fork: workers come up in milliseconds and inherit numpy
-        # warm; spawn (macOS/Windows default) works too since tasks and
-        # results are plain picklable tuples.
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-        _FIT_POOLS[workers] = pool
-    return pool
-
-
-def _run_hyperfit_tasks(
-    tasks: List[tuple], fit_workers: int
-) -> List[Tuple[float, np.ndarray]]:
-    """All restart results, in task order (the reduction key).
-
-    Falls back to in-process execution when the pool cannot be used
-    (sandboxes that forbid subprocesses, broken pools) — the results are
-    identical either way, only the wall-clock differs.
-    """
-    if fit_workers > 1 and len(tasks) > 1:
-        try:
-            pool = _fit_pool(min(fit_workers, len(tasks)))
-            return list(pool.map(_hyperfit_one, tasks))
-        except (BrokenProcessPool, OSError, PermissionError):
-            for stale in _FIT_POOLS.values():
-                stale.shutdown(wait=False, cancel_futures=True)
-            _FIT_POOLS.clear()
-    return [_hyperfit_one(task) for task in tasks]
 
 
 def _chol_with_jitter(
@@ -196,6 +117,23 @@ def _chol_with_jitter(
     raise GPFitError("covariance matrix not positive definite at any jitter level")
 
 
+def _chol_above_floor(matrix: np.ndarray, scale: float) -> Optional[np.ndarray]:
+    """Jitter-free lower Cholesky factor of ``matrix``, or None if degenerate.
+
+    A successful factorisation with pivots below ``_PIVOT_FLOOR`` of the
+    covariance ``scale`` is still treated as degenerate: such a factor
+    amplifies rounding error far beyond the jitter ladder's guarantees, so
+    the caller factors with escalating jitter instead.
+    """
+    try:
+        chol = linalg.cholesky(matrix, lower=True)
+    except linalg.LinAlgError:
+        return None
+    if float(np.min(np.diag(chol)) ** 2) < _PIVOT_FLOOR * scale:
+        return None
+    return chol
+
+
 class GaussianProcess:
     """Exact GP regression with MLE hyperparameter fitting.
 
@@ -209,13 +147,8 @@ class GaussianProcess:
         refined by the marginal-likelihood fit unless ``fit_noise=False``.
     restarts:
         Number of random restarts for the hyperparameter optimisation.
-    fit_workers:
-        Fan the multi-start restarts across ``fit_workers`` worker
-        processes.  Deterministic: the same starts are generated either
-        way, every restart is an independent pure function, and the
-        best-of reduction runs in start order — ``fit_workers > 1`` fits
-        bit-identical hyperparameters to serial.  Falls back to serial
-        when subprocesses are unavailable.
+        The starts run one after another in-process, and the best one
+        wins, with ties going to the earliest start.
     """
 
     def __init__(
@@ -225,20 +158,16 @@ class GaussianProcess:
         fit_noise: bool = True,
         restarts: int = 3,
         seed: int = 0,
-        fit_workers: int = 1,
     ) -> None:
         if noise_variance <= 0:
             raise ValueError("noise_variance must be positive")
         if restarts < 0:
             raise ValueError("restarts must be >= 0")
-        if fit_workers < 1:
-            raise ValueError("fit_workers must be >= 1")
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
         self.fit_noise = fit_noise
         self.restarts = restarts
         self.seed = seed
-        self.fit_workers = fit_workers
         self._x: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
         self._z: Optional[np.ndarray] = None
@@ -398,29 +327,23 @@ class GaussianProcess:
         for _ in range(self.restarts):
             start = np.array([lo + (hi - lo) * rng.random() for lo, hi in bounds])
             starts.append(start)
-        # Every restart gets its own kernel copy so the evaluations are
-        # independent pure functions — the same task list runs in-process
-        # or across the fit_workers pool with identical results.
-        tasks = [
-            (
-                copy.deepcopy(self.kernel),
-                self._x,
-                self._z,
-                self.noise_variance,
-                self.fit_noise,
-                bounds,
-                start,
-                self._noise_scale,
-            )
-            for start in starts
-        ]
-        outcomes = _run_hyperfit_tasks(tasks, self.fit_workers)
+        # Each evaluation overwrites every kernel and noise parameter, so a
+        # restart is a pure function of its start and the starts can share
+        # this model's kernel.
         best_val = np.inf
         best_params = starts[0]
-        for fun, params in outcomes:
-            if fun < best_val:
-                best_val = float(fun)
-                best_params = params
+        for start in starts:
+            result = optimize.minimize(
+                lambda p: self._neg_log_marginal(p, jac=True),
+                start,
+                method="L-BFGS-B",
+                jac=True,
+                bounds=bounds,
+                options={"maxiter": 200},
+            )
+            if result.fun < best_val:
+                best_val = float(result.fun)
+                best_params = result.x
         self._apply_log_params(best_params)
 
     def _noise_on_diag(self) -> Union[float, np.ndarray]:
@@ -501,7 +424,7 @@ class GaussianProcess:
         ) * np.eye(m)
         l21 = linalg.solve_triangular(self._chol, k_cross, lower=True)  # (n, m)
         schur = k_new - l21.T @ l21
-        l22 = self._chol_of_schur(schur, float(np.max(np.diag(k_new))))
+        l22 = _chol_above_floor(schur, float(np.max(np.diag(k_new))))
 
         x_all = np.vstack((self._x, x_new))
         y_all = np.concatenate((self._y, y_new))
@@ -524,23 +447,6 @@ class GaussianProcess:
         self._standardise()
         self._finish_posterior()
         return self
-
-    @staticmethod
-    def _chol_of_schur(schur: np.ndarray, scale: float) -> Optional[np.ndarray]:
-        """Factor the extension's Schur complement, or None if degenerate.
-
-        A successful factorisation with pivots below ``_EXTEND_PIVOT_FLOOR``
-        of the covariance scale is still treated as degenerate: such a
-        factor amplifies rounding error far beyond the jitter ladder's
-        guarantees, so the caller rebuilds from scratch instead.
-        """
-        try:
-            l22 = linalg.cholesky(schur, lower=True)
-        except linalg.LinAlgError:
-            return None
-        if float(np.min(np.diag(l22)) ** 2) < _EXTEND_PIVOT_FLOOR * scale:
-            return None
-        return l22
 
     # -- prediction -----------------------------------------------------------
 
@@ -666,7 +572,6 @@ class SparseGaussianProcess:
         fit_noise: bool = True,
         restarts: int = 3,
         seed: int = 0,
-        fit_workers: int = 1,
         max_inducing: int = 256,
         reselect_growth: float = 1.25,
     ) -> None:
@@ -674,8 +579,6 @@ class SparseGaussianProcess:
             raise ValueError("noise_variance must be positive")
         if restarts < 0:
             raise ValueError("restarts must be >= 0")
-        if fit_workers < 1:
-            raise ValueError("fit_workers must be >= 1")
         if max_inducing < 1:
             raise ValueError("max_inducing must be >= 1")
         if reselect_growth <= 1.0:
@@ -685,7 +588,6 @@ class SparseGaussianProcess:
         self.fit_noise = fit_noise
         self.restarts = restarts
         self.seed = seed
-        self.fit_workers = fit_workers
         self.max_inducing = max_inducing
         self.reselect_growth = reselect_growth
         self._x: Optional[np.ndarray] = None
@@ -791,7 +693,6 @@ class SparseGaussianProcess:
             fit_noise=self.fit_noise,
             restarts=self.restarts,
             seed=self.seed,
-            fit_workers=self.fit_workers,
         )
         scratch.fit(self._x[self._idx], self._y[self._idx], optimize_hypers=True)
         self.noise_variance = scratch.noise_variance
@@ -806,7 +707,15 @@ class SparseGaussianProcess:
         """Factor the inducing system and project every training column."""
         x_m = self._x[self._idx]
         k_mm = self.kernel(x_m, x_m)
-        self._chol, self._jitter = _chol_with_jitter(k_mm)
+        # No jitter unless K_mm is degenerate: the DTC posterior applies
+        # (K_mm + jitter I)^-1 to the cross-covariances, so a jitter moves
+        # the mean by about jitter / lambda_min(K_mm) relative.  At m = n a
+        # 1e-10 jitter on a cond-1e5 Gram put it 2e-6 off the exact GP.
+        chol = _chol_above_floor(k_mm, float(np.max(np.diag(k_mm))))
+        if chol is None:
+            self._chol, self._jitter = _chol_with_jitter(k_mm)
+        else:
+            self._chol, self._jitter = chol, 0.0
         self._chol_inv = linalg.solve_triangular(
             self._chol,
             np.eye(self._chol.shape[0]),
@@ -1105,7 +1014,7 @@ class SurrogateFactory:
         ``None`` never switches.
     max_inducing:
         Inducing-set cap for the sparse tier.
-    seed / fit_workers:
+    seed:
         Forwarded to both tiers' hyperparameter fits.
     prior_mean:
         Optional fixed predictor of the *normalised* response surface
@@ -1122,7 +1031,6 @@ class SurrogateFactory:
         sparse_threshold: Optional[int] = 512,
         max_inducing: int = 256,
         seed: int = 0,
-        fit_workers: int = 1,
         prior_mean=None,
     ) -> None:
         if sparse_threshold is not None and sparse_threshold < 4:
@@ -1133,7 +1041,6 @@ class SurrogateFactory:
         self.sparse_threshold = sparse_threshold
         self.max_inducing = max_inducing
         self.seed = seed
-        self.fit_workers = fit_workers
         self.prior_mean = prior_mean
 
     def tier_for(self, n: int) -> str:
@@ -1164,7 +1071,6 @@ class SurrogateFactory:
                 kernel=self.kernel_factory(),
                 restarts=restarts,
                 seed=self.seed,
-                fit_workers=self.fit_workers,
                 max_inducing=self.max_inducing,
             )
         else:
@@ -1172,7 +1078,6 @@ class SurrogateFactory:
                 kernel=self.kernel_factory(),
                 restarts=restarts,
                 seed=self.seed,
-                fit_workers=self.fit_workers,
             )
         if self.prior_mean is not None:
             return PriorMeanGP(gp, self.prior_mean)

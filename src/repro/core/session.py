@@ -1029,19 +1029,30 @@ class TuningSession:
         ):
             self._stalled = True
             return False
-        trials = self.executor.run_round(
-            self._loop_strategy,
-            self._env,
-            self._space,
-            self._history,
-            self._rng,
-            self._budget,
-            self._events,
-        )
+        try:
+            trials = self.executor.run_round(
+                self._loop_strategy,
+                self._env,
+                self._space,
+                self._history,
+                self._rng,
+                self._budget,
+                self._events,
+            )
+            if trials:
+                self._events.round_end(
+                    self._history.num_rounds - 1, trials, self._history
+                )
+        except BaseException:
+            # A crashed round abandons the session: release the WAL handle
+            # now, not at garbage collection.  Every durable record is
+            # already on disk, so the checkpoint stays resumable.
+            if self._journal is not None:
+                self._journal.close()
+            raise
         if not trials:
             self._stalled = True
             return False
-        self._events.round_end(self._history.num_rounds - 1, trials, self._history)
         return True
 
     def finish(self) -> TuningResult:

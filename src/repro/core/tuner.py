@@ -72,11 +72,6 @@ class MLConfigTuner(SearchStrategy):
         condition the cost surrogate on the shard each probe ran on and
         predict probe cost at the target shard (see
         :class:`~repro.core.bo.BayesianProposer`).  Off by default.
-    fit_workers:
-        Fan each GP hyperparameter refit's multi-start restarts across
-        ``fit_workers`` processes (bit-identical results to serial; see
-        :class:`~repro.core.gp.GaussianProcess`).  Surfaced on the CLI as
-        ``--fit-workers``.
     sparse_threshold / max_inducing:
         Surrogate tier policy for long sessions: past ``sparse_threshold``
         trials the GP surrogates switch to the inducing-point sparse tier
@@ -105,7 +100,6 @@ class MLConfigTuner(SearchStrategy):
         rejection_margin: float = 0.25,
         batch_lie: str = "incumbent",
         shard_cost_feature: bool = False,
-        fit_workers: int = 1,
         sparse_threshold: Optional[int] = 512,
         max_inducing: int = 256,
         prior_mean=None,
@@ -122,8 +116,6 @@ class MLConfigTuner(SearchStrategy):
             raise ValueError("rejection_margin must be non-negative")
         if batch_lie not in ("incumbent", "mean"):
             raise ValueError("batch_lie must be 'incumbent' or 'mean'")
-        if fit_workers < 1:
-            raise ValueError("fit_workers must be >= 1")
         self.acquisition = acquisition
         self.n_initial = n_initial
         self.early_termination = early_termination
@@ -131,7 +123,6 @@ class MLConfigTuner(SearchStrategy):
         self.rejection_margin = rejection_margin
         self.batch_lie = batch_lie
         self.shard_cost_feature = shard_cost_feature
-        self.fit_workers = fit_workers
         self.sparse_threshold = sparse_threshold
         self.max_inducing = max_inducing
         self.prior_mean = prior_mean
@@ -253,7 +244,6 @@ class MLConfigTuner(SearchStrategy):
                 xi=self.xi,
                 beta=self.beta,
                 shard_cost_feature=self.shard_cost_feature,
-                fit_workers=self.fit_workers,
                 sparse_threshold=self.sparse_threshold,
                 max_inducing=self.max_inducing,
                 prior_mean=self.prior_mean,

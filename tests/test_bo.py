@@ -439,9 +439,10 @@ class TestRestartSchedule:
 
     @pytest.fixture
     def fits(self, monkeypatch):
-        """(surrogate, training rows, hyperfit tasks) for every hyperfit.
+        """(surrogate, training rows, L-BFGS-B starts) for every hyperfit.
 
-        Spies on the task runner of the GP module; the surrogate cache's
+        Spies on the exact GP's hyperfit (one entry per fit) and on the
+        optimiser it calls once per start; the surrogate cache's
         ``update`` attributes each fit to the objective (factory seed =
         proposer seed) or cost (seed + 1) surrogate.
         """
@@ -449,12 +450,17 @@ class TestRestartSchedule:
         from repro.core import gp as gp_module
 
         recorded, pending = [], []
-        run_tasks = gp_module._run_hyperfit_tasks
+        hyperfit = gp_module.GaussianProcess._optimize_hyperparameters
+        minimize = gp_module.optimize.minimize
         update = bo_module._SurrogateCache.update
 
-        def spy_run(tasks, fit_workers):
-            pending.append(len(tasks))
-            return run_tasks(tasks, fit_workers)
+        def spy_hyperfit(gp):
+            pending.append(0)
+            return hyperfit(gp)
+
+        def spy_minimize(*args, **kwargs):
+            pending[-1] += 1
+            return minimize(*args, **kwargs)
 
         def spy_update(cache, x, y, factory, optimize, **kwargs):
             pending.clear()
@@ -465,7 +471,10 @@ class TestRestartSchedule:
                 recorded.append((label, y.shape[0], pending[0]))
             return result
 
-        monkeypatch.setattr(gp_module, "_run_hyperfit_tasks", spy_run)
+        monkeypatch.setattr(
+            gp_module.GaussianProcess, "_optimize_hyperparameters", spy_hyperfit
+        )
+        monkeypatch.setattr(gp_module.optimize, "minimize", spy_minimize)
         monkeypatch.setattr(bo_module._SurrogateCache, "update", spy_update)
         return recorded
 
@@ -523,8 +532,42 @@ class TestRestartSchedule:
         assert set(cost_fits) == {4}
         assert {tasks for label, _, tasks in fits if label == "objective"} == {4}
 
-    def test_fit_workers_reproduce_serial_proposals(self):
-        _, serial = self._run(self._proposer(fit_workers=1), 30)
-        _, pooled = self._run(self._proposer(fit_workers=2), 30)
-        assert pooled == serial
+    #: The 30 proposals of ``_run(_proposer(), 30)``, recorded before the
+    #: multi-start hyperfit became a plain in-process loop.
+    PINNED_PROPOSALS = [
+        (0.4555401202689058, 0.44710893293782616),
+        (0.049913221152196596, 0.5153002487309821),
+        (0.9935401102337428, 0.13534061474976455),
+        (0.8634236291310414, 0.08967683491102701),
+        (0.559420121216242, 0.8781754901714555),
+        (0.16010291600450044, 0.8610752431470485),
+        (0.3712214149116075, 0.717026072835624),
+        (0.6641995151529023, 0.320490843170994),
+        (0.3306422089937474, 0.0),
+        (0.7530499898656764, 0.43922893185830647),
+        (0.7641995151529023, 0.320490843170994),
+        (0.6641995151529023, 0.22049084317099402),
+        (1.0, 0.6446224609754608),
+        (0.6058579549524877, 0.0),
+        (0.7274520208179809, 0.2607418542537089),
+        (1.0, 1.0),
+        (0.5895451702420725, 0.2699060052640694),
+        (0.6641995151529023, 0.320490843170994),
+        (0.8899970915164611, 0.34306050045190717),
+        (0.0, 0.0),
+        (0.6727370818634266, 0.39234644559183274),
+        (0.7154605262672716, 0.3018384891097815),
+        (0.7154605262672716, 0.2018384891097815),
+        (0.4097119854220458, 0.45638901004443433),
+        (0.5888932567562967, 0.3492260461582273),
+        (0.22362927663828913, 0.6037749259035556),
+        (0.7154605262672716, 0.3018384891097815),
+        (0.7154605262672716, 0.3018384891097815),
+        (0.7154605262672716, 0.3018384891097815),
+        (0.7154605262672716, 0.3018384891097815),
+    ]
+
+    def test_proposals_pinned(self):
+        _, proposals = self._run(self._proposer(), 30)
+        assert [(c["x"], c["y"]) for c in proposals] == self.PINNED_PROPOSALS
 

@@ -9,7 +9,9 @@ WAL tails on the crash path, outage-injected fleets, and TuningService
 crash recovery (restart the tenant, leave neighbours unperturbed).
 """
 
+import gc
 import os
+import warnings
 
 import pytest
 
@@ -365,3 +367,66 @@ class TestServiceRecovery:
         names = sorted(os.listdir(tmp_path))
         assert "a_b_c.ckpt" in names
         assert "a_b_c.ckpt.wal" in names
+
+
+def _unclosed_wal_warnings(action):
+    """``ResourceWarning``s about unclosed WAL files raised by ``action``,
+    including any the garbage collector raises once it has returned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        action()
+        gc.collect()
+    return [
+        str(w.message)
+        for w in caught
+        if issubclass(w.category, ResourceWarning) and ".wal" in str(w.message)
+    ]
+
+
+class TestCrashedJournalClosed:
+    """A crash releases the crashed session's WAL handle; GC never has to."""
+
+    def test_recovered_tenant_leaves_no_open_wal(self, tmp_path):
+        def action():
+            svc = _service(checkpoint_dir=str(tmp_path))
+            handle = svc.submit(_crash_spec({"armed": True}))
+            svc.run()
+            assert handle.recoveries == 1
+
+        assert _unclosed_wal_warnings(action) == []
+
+    def test_failed_tenant_leaves_no_open_wal(self, tmp_path):
+        def action():
+            svc = _service(checkpoint_dir=str(tmp_path), max_recoveries=0)
+            handle = svc.submit(_crash_spec({"armed": True}))
+            svc.run()
+            assert handle.state == "failed"
+
+        assert _unclosed_wal_warnings(action) == []
+
+    def test_chaos_kill_leaves_no_open_wal(self, tmp_path):
+        executor_factory, environment_factory = EXECUTOR_CELLS["serial"]
+        checkpoint = CheckpointConfig(str(tmp_path / "kill.ckpt"))
+
+        def action():
+            assert run_with_kill(
+                lambda: RandomSearch(),
+                executor_factory,
+                environment_factory,
+                space(),
+                TuningBudget(max_trials=8),
+                checkpoint,
+                kill_at=4,
+            )
+            # A resumed run that dies again closes its reopened log too.
+            kill_resume_cycle(
+                lambda: RandomSearch(),
+                executor_factory,
+                environment_factory,
+                space(),
+                TuningBudget(max_trials=8),
+                checkpoint,
+                kill_points=(2, 6),
+            )
+
+        assert _unclosed_wal_warnings(action) == []

@@ -237,6 +237,13 @@ class TestCli:
         assert code == 2
         assert "--max-wall-hours" in capsys.readouterr().err
 
+    def test_tune_has_no_fit_workers_option(self, capsys):
+        """Hyperfit restarts run in-process; there is nothing to fan out."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["tune", "--workload", "lstm-ptb", "--fit-workers", "2"])
+        assert exc.value.code == 2
+        assert "--fit-workers" in capsys.readouterr().err
+
     def test_unknown_experiment_id(self, capsys):
         assert cli_main(["experiment", "--id", "Z9"]) == 1
         assert "unknown experiment" in capsys.readouterr().err

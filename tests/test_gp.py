@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _gp_reference as reference
@@ -182,6 +182,24 @@ class TestGaussianProcess:
         assert np.all(mean < y.max() + 3 * spread)
         assert np.all(var >= 0)
 
+    def test_multi_start_fit_pinned(self):
+        """A ``restarts=3`` fit lands on values recorded before the restarts
+        became a plain in-process loop, bit for bit."""
+        rng = np.random.default_rng(4)
+        x = rng.random((48, 5))
+        y = np.sin(4.0 * x[:, 0]) - x[:, 2] + 0.05 * rng.standard_normal(48)
+        gp = GaussianProcess(kernel=make_kernel("matern52", 5), restarts=3).fit(x, y)
+        assert gp.kernel.get_log_params().tolist() == [
+            1.1247832821184975,
+            -0.2711744684155865,
+            2.302585092994046,
+            0.856963092594839,
+            2.302585092994046,
+            2.302585092994046,
+        ]
+        assert gp.noise_variance == 0.005709196538325799
+        assert gp.log_marginal_likelihood() == 21.61532049161213
+
 
 class TestIncrementalExtension:
     """extend() must be indistinguishable from a from-scratch refit."""
@@ -296,6 +314,11 @@ class TestSparseGaussianProcess:
 
     @pytest.mark.parametrize("kernel_name", ["rbf", "matern52"])
     @given(seed=st.integers(min_value=0, max_value=10_000))
+    # rbf draws whose cond(K) ~ 1e5 put a jittered inducing factor's mean
+    # up to 1.9e-6 off the exact one.
+    @example(seed=248)
+    @example(seed=1059)
+    @example(seed=1820)
     @settings(max_examples=10, deadline=None)
     def test_full_inducing_set_matches_exact_gp(self, kernel_name, seed):
         """With m = n the DTC posterior *is* the exact posterior."""
@@ -498,16 +521,17 @@ class TestAnalyticGradients:
         x = rng.random((15, 3))
         y = np.sin(3 * x[:, 0]) + 0.5 * x[:, 1] + 0.1 * rng.standard_normal(15)
         captured = []
-        run_tasks = gp_module._run_hyperfit_tasks
+        minimize = gp_module.optimize.minimize
 
-        def spy(tasks, fit_workers):
-            captured.extend(tasks)
-            return run_tasks(tasks, fit_workers)
+        def spy(*args, **kwargs):
+            captured.append(kwargs["bounds"])
+            return minimize(*args, **kwargs)
 
-        monkeypatch.setattr(gp_module, "_run_hyperfit_tasks", spy)
+        monkeypatch.setattr(gp_module.optimize, "minimize", spy)
         gp = GaussianProcess(kernel=make_kernel(kernel_name, 3), restarts=0)
         gp.fit(x, y)
-        low, high = captured[0][5][-1]  # the optimiser's log-noise bounds
+        assert len(captured) == 1
+        low, high = captured[0][-1]  # the optimiser's log-noise bounds
         params = gp._log_params()
         eps = 1e-6
         for log_noise in np.linspace(low + 10 * eps, high - 10 * eps, 9):

@@ -1,8 +1,7 @@
 """Tests for the process-parallel harness layers (PR 5).
 
 Covers the fork-based cell runner, ``compare_strategies(n_jobs=)``
-serial-equivalence, the disk tier of the experiment memoiser, and the
-``fit_workers`` process-parallel GP hyperfits.
+serial-equivalence, and the disk tier of the experiment memoiser.
 """
 
 import os
@@ -12,9 +11,7 @@ import pytest
 
 from repro.baselines import RandomSearch, SimulatedAnnealing
 from repro.cluster import homogeneous
-from repro.core import MLConfigTuner, TuningBudget
-from repro.core.gp import GaussianProcess
-from repro.core.kernels import make_kernel
+from repro.core import TuningBudget
 from repro.harness import compare_strategies, fork_available, resolve_n_jobs, run_cells
 from repro.workloads import get_workload
 
@@ -158,56 +155,6 @@ class TestDiskMemoiser:
         assert [list(map(str, r)) for r in warm.rows] == [
             list(map(str, r)) for r in cold.rows
         ]
-
-
-class TestFitWorkers:
-    @needs_fork
-    def test_parallel_hyperfit_bit_identical_to_serial(self):
-        rng = np.random.default_rng(4)
-        x = rng.random((48, 5))
-        y = np.sin(4.0 * x[:, 0]) - x[:, 2] + 0.05 * rng.standard_normal(48)
-        serial = GaussianProcess(
-            kernel=make_kernel("matern52", 5), restarts=3, fit_workers=1
-        ).fit(x, y)
-        fanned = GaussianProcess(
-            kernel=make_kernel("matern52", 5), restarts=3, fit_workers=3
-        ).fit(x, y)
-        assert np.array_equal(
-            serial.kernel.get_log_params(), fanned.kernel.get_log_params()
-        )
-        assert serial.noise_variance == fanned.noise_variance
-        assert serial.log_marginal_likelihood() == fanned.log_marginal_likelihood()
-        mean_a, var_a = serial.predict(x[:5])
-        mean_b, var_b = fanned.predict(x[:5])
-        assert np.array_equal(mean_a, mean_b)
-        assert np.array_equal(var_a, var_b)
-
-    def test_fit_workers_validated(self):
-        with pytest.raises(ValueError):
-            GaussianProcess(fit_workers=0)
-        with pytest.raises(ValueError):
-            MLConfigTuner(fit_workers=0)
-
-    @needs_fork
-    def test_tuner_fit_workers_reproduces_serial_session(self):
-        from repro.mlsim import TrainingEnvironment
-        from repro.configspace import ml_config_space
-
-        workload = get_workload("resnet50-imagenet")
-        cluster = homogeneous(8)
-        space = ml_config_space(8)
-        budget = TuningBudget(max_trials=12)
-
-        def run(fit_workers):
-            env = TrainingEnvironment(workload, cluster, seed=0)
-            tuner = MLConfigTuner(seed=0, fit_workers=fit_workers)
-            return tuner.run(env, space, budget, seed=0)
-
-        serial = run(1)
-        fanned = run(2)
-        assert serial.best_objective == fanned.best_objective
-        assert serial.best_config == fanned.best_config
-        assert [t.config for t in serial.history] == [t.config for t in fanned.history]
 
 
 class TestVectorizedCandidateFlag:
